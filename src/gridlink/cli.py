@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import NumberedGrid, PuzzleState
+from .core import GridError, NumberedGrid, PuzzleState
 from .formats import (
     ParseError,
     count_table,
@@ -357,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ParseError, GenerationFailure, ValueError, OSError) as exc:
+    except (ParseError, GenerationFailure, GridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,6 +4,8 @@ geometry, and the solved-grid verifier.
 Coordinates grow rightward (x) and upward (y), so a node's Top neighbor is
 the nearest node with the same x and a strictly larger y. Neighbors are the
 nearest node in each axis direction; in sparse grids they may be far away.
+Each grid works its neighbors out once, into a table that every neighbor,
+edge and crossing query reads.
 
 All types here are immutable values: operations that change a state return a
 new one, which keeps speculative application and rollback cheap for the
@@ -13,11 +15,10 @@ propagation engine and the exhaustive solver.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class GridError(Exception):
@@ -172,24 +173,26 @@ class NumberedGrid:
         return {n.coord: n for n in self.nodes}
 
     @cached_property
-    def _columns(self) -> dict[int, list[int]]:
-        """x -> sorted list of y values of nodes in that column."""
-        cols: dict[int, list[int]] = {}
-        for n in self.nodes:
-            cols.setdefault(n.coord.x, []).append(n.coord.y)
-        for ys in cols.values():
-            ys.sort()
-        return cols
+    def _adjacent(self) -> dict[Coordinate, dict[Direction, Node]]:
+        """Coordinate -> existing neighbors in Direction order.
 
-    @cached_property
-    def _rows(self) -> dict[int, list[int]]:
-        """y -> sorted list of x values of nodes in that row."""
-        rows: dict[int, list[int]] = {}
-        for n in self.nodes:
-            rows.setdefault(n.coord.y, []).append(n.coord.x)
-        for xs in rows.values():
-            xs.sort()
-        return rows
+        One sorted pass along rows and one along columns link each node to
+        the next node on its line.
+        """
+        slots: dict[Coordinate, list[Optional[Node]]] = {n.coord: [None] * 4 for n in self.nodes}
+        for p, q in zip(self.nodes, self.nodes[1:]):  # row-major: (y, x)
+            if p.coord.y == q.coord.y:
+                slots[p.coord][Direction.RIGHT - 1] = q
+                slots[q.coord][Direction.LEFT - 1] = p
+        by_column = sorted(self.nodes, key=lambda n: (n.coord.x, n.coord.y))
+        for p, q in zip(by_column, by_column[1:]):
+            if p.coord.x == q.coord.x:
+                slots[p.coord][Direction.TOP - 1] = q
+                slots[q.coord][Direction.BOTTOM - 1] = p
+        return {
+            c: {d: q for d, q in zip(Direction, row) if q is not None}
+            for c, row in slots.items()
+        }
 
     def node_at(self, coord: Coordinate) -> Optional[Node]:
         return self._by_coord.get(coord)
@@ -198,44 +201,27 @@ class NumberedGrid:
         """The nearest node strictly in direction d from p, or None.
 
         Neighbors are the nearest node in the shared row or column, not
-        necessarily at distance 1.
+        necessarily at distance 1; the grid works them all out once, on
+        first use.
         """
-        c = p.coord
-        if d is Direction.TOP or d is Direction.BOTTOM:
-            ys = self._columns[c.x]
-            if d is Direction.TOP:
-                i = bisect_right(ys, c.y)
-                return self._by_coord[Coordinate(c.x, ys[i])] if i < len(ys) else None
-            i = bisect_left(ys, c.y)
-            return self._by_coord[Coordinate(c.x, ys[i - 1])] if i > 0 else None
-        xs = self._rows[c.y]
-        if d is Direction.RIGHT:
-            i = bisect_right(xs, c.x)
-            return self._by_coord[Coordinate(xs[i], c.y)] if i < len(xs) else None
-        i = bisect_left(xs, c.x)
-        return self._by_coord[Coordinate(xs[i - 1], c.y)] if i > 0 else None
+        return self._adjacent[p.coord].get(d)
 
     def neighbors(self, p: Node) -> dict[Direction, Node]:
         """Existing neighbors of p, keyed by direction."""
-        out = {}
-        for d in Direction:
-            q = self.neighbor(p, d)
-            if q is not None:
-                out[d] = q
-        return out
+        return dict(self._adjacent[p.coord])
 
     def neighbor_count(self, p: Node) -> int:
-        return len(self.neighbors(p))
+        return len(self._adjacent[p.coord])
 
     @cached_property
     def all_edges(self) -> tuple[EdgeKey, ...]:
         """Every neighbor-pair edge of the grid, in canonical order."""
         edges = []
         for p in self.nodes:
+            nbrs = self._adjacent[p.coord]
             for d in (Direction.TOP, Direction.RIGHT):
-                q = self.neighbor(p, d)
-                if q is not None:
-                    edges.append(EdgeKey.between(p.coord, q.coord))
+                if d in nbrs:
+                    edges.append(EdgeKey.between(p.coord, nbrs[d].coord))
         return tuple(sorted(edges, key=lambda e: (e.a, e.b)))
 
     @cached_property
@@ -416,13 +402,13 @@ class SolvedCheck:
         return self.ok
 
 
-def _components(grid: NumberedGrid, positive: Mapping[EdgeKey, int]) -> Iterator[set[Coordinate]]:
-    """Connected components of the node set under the positive edges.
+def _components(grid: NumberedGrid, edges: Iterable[EdgeKey]) -> Iterator[set[Coordinate]]:
+    """Connected components of the node set under the given edges.
 
     Nodes without connections appear as singleton components.
     """
     adj: dict[Coordinate, list[Coordinate]] = {n.coord: [] for n in grid.nodes}
-    for e in positive:
+    for e in edges:
         adj[e.a].append(e.b)
         adj[e.b].append(e.a)
     seen: set[Coordinate] = set()

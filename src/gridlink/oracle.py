@@ -17,7 +17,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, EdgeKey, Node, NumberedGrid, PuzzleState, segments_cross
+from .core import Coordinate, EdgeKey, Node, NumberedGrid, PuzzleState
 from .screens import screen
 from .tau import TauStatus, run_tau
 from .words import omega_star
@@ -71,6 +71,7 @@ class SolutionSet:
         return len(self.solutions)
 
 
+# Keeps its own tables and walkers: it is the independent reference for the engine.
 def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
     """Enumerate every connection assignment that solves the grid.
 
@@ -223,12 +224,6 @@ def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list
     return taken
 
 
-def _neighbor_edges(coords: list[Coordinate]) -> list[EdgeKey]:
-    """Neighbor-pair edges induced by a coordinate set (nearest in row/column)."""
-    probe = NumberedGrid(1, [Node(c, 1) for c in coords])
-    return list(probe.all_edges)
-
-
 def _spanning_multigraph(
     rng: Random, coords: list[Coordinate], k: int
 ) -> Optional[dict[EdgeKey, int]]:
@@ -237,11 +232,9 @@ def _spanning_multigraph(
     Returns None when a randomized spanning pass dead-ends against the
     crossing constraints.
     """
-    edges = _neighbor_edges(coords)
-    crossing = {
-        e: [f for f in edges if segments_cross(e, f)] for e in edges
-    }
-    order = list(edges)
+    probe = NumberedGrid(1, [Node(c, 1) for c in coords])
+    crossing = probe.crossing_conflicts
+    order = list(probe.all_edges)
     rng.shuffle(order)
 
     parent = {c: c for c in coords}
@@ -317,6 +310,7 @@ def generate(spec: GenSpec) -> NumberedGrid:
     )
 
 
+# Not run_tau's first step, which computes omega_star for every node: ~4x slower sweep.
 def _stalls_immediately(grid: NumberedGrid) -> bool:
     """True when the propagation engine can make no move on the fresh grid.
 

@@ -14,9 +14,10 @@ guaranteed-connection word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .core import Direction, EdgeKey, Node, PuzzleState
+from .core import Direction, EdgeKey, Node, PuzzleState, _components
 
 
 class NoConfigurationsError(ValueError):
@@ -186,27 +187,8 @@ def _passes_one_step(
 
     # Sealed-component check: a connected component made only of completed
     # nodes must contain every node (in which case it is a solution).
-    adj: dict = {n.coord: [] for n in grid.nodes}
-    for e in state.connections():
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    for e in new_edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
     total = len(grid.nodes)
-    seen: set = set()
-    for n in grid.nodes:
-        if n.coord in seen or not adj[n.coord]:
-            continue
-        comp = {n.coord}
-        stack = [n.coord]
-        while stack:
-            c = stack.pop()
-            for other in adj[c]:
-                if other not in comp:
-                    comp.add(other)
-                    stack.append(other)
-        seen |= comp
+    for comp in _components(grid, chain(state.connections(), new_edges)):
         if len(comp) < total and all(res[c] == 0 for c in comp):
             return False
 

@@ -127,6 +127,12 @@ class TestJsonReports:
         _, out2, _ = run_cli(capsys, "tau", FIXTURES / "tutorial.puzzle", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("puzzle", sorted(FIXTURES.glob("*.puzzle")), ids=lambda p: p.stem)
+    def test_tau_json_matches_committed_output(self, capsys, puzzle):
+        # fixtures/<name>.tau.json pins the report across changes, not just between runs.
+        _, out, _ = run_cli(capsys, "tau", puzzle, "--json")
+        assert out == puzzle.with_suffix(".tau.json").read_text(encoding="utf-8")
+
 
 class TestSubprocessInvocation:
     def run(self, *argv):
@@ -145,6 +151,14 @@ class TestSubprocessInvocation:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.startswith("k 2\n")
+
+    def test_render_over_capacity_solution_is_an_error(self, tmp_path):
+        sol = tmp_path / "over.solution"
+        sol.write_text("conn 0 0 1 0 2\n")
+        r = self.run("render", FIXTURES / "pair.puzzle", "--solution", sol)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
 
     def test_count_table_csv(self):
         r = self.run("count-table", "--neighbors", 4, "--k-max", 2, "--csv")

@@ -59,6 +59,28 @@ class TestNeighbor:
                 if q is not None:
                     assert g.neighbor(q, d.opposite) == p
 
+    @settings(max_examples=80, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=15))
+    def test_neighbor_is_nearest_node_on_the_line(self, coords):
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+        for p in g.nodes:
+            x, y = p.coord.x, p.coord.y
+            candidates = {
+                Direction.TOP: [(y2 - y, (x2, y2)) for x2, y2 in coords if x2 == x and y2 > y],
+                Direction.RIGHT: [(x2 - x, (x2, y2)) for x2, y2 in coords if y2 == y and x2 > x],
+                Direction.BOTTOM: [(y - y2, (x2, y2)) for x2, y2 in coords if x2 == x and y2 < y],
+                Direction.LEFT: [(x - x2, (x2, y2)) for x2, y2 in coords if y2 == y and x2 < x],
+            }
+            for d, found in candidates.items():
+                q = g.neighbor(p, d)
+                if found:
+                    assert (q.coord.x, q.coord.y) == min(found)[1]
+                else:
+                    assert q is None
+            nbrs = g.neighbors(p)
+            assert list(nbrs) == [d for d in Direction if candidates[d]]
+            assert g.neighbor_count(p) == len(nbrs)
+
 
 class TestSegmentsCross:
     def test_interior_crossing(self):

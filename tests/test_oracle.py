@@ -1,5 +1,6 @@
 """Exhaustive enumerator, minimal-k sweep, generator, stall search."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -18,6 +19,7 @@ from gridlink import (
     node,
     run_tau,
     screen,
+    serialize_puzzle,
     TauStatus,
 )
 
@@ -169,6 +171,24 @@ class TestGenerate:
     def test_too_small_lattice_fails(self):
         with pytest.raises(GenerationFailure):
             generate(GenSpec(seed=1, width=1, height=1, node_density=1.0, k=1))
+
+    # sha256 of serialize_puzzle(generate(spec)): a seed must keep naming the
+    # same puzzle whatever changes in the topology code underneath.
+    @pytest.mark.parametrize(
+        "seed, size, density, k, digest",
+        [
+            (11, 16, 0.5, 2, "4725504c5bf1a67dbbf7b5bee0a836dedf463368f3b3eaececfacd805e640233"),
+            (23, 18, 0.45, 3, "8eeda77bc4bda89cc3d13c3808835878ef504921c016d48d1f996f1be954de40"),
+            (37, 20, 0.4, 2, "c9433e5ef639a153ac0396322364e3a189c5d3705dbe1b035e2da4c0a5eedd3f"),
+        ],
+    )
+    def test_constructive_output_is_pinned(self, seed, size, density, k, digest):
+        spec = GenSpec(
+            seed=seed, width=size, height=size, node_density=density, k=k,
+            mode=GenMode.SOLVABLE_BY_CONSTRUCTION,
+        )
+        text = serialize_puzzle(generate(spec))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 class TestFindStallWitness:
