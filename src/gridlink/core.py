@@ -15,6 +15,7 @@ propagation engine and the exhaustive solver.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -233,16 +234,26 @@ class NumberedGrid:
         """For each edge, the edges that geometrically cross it.
 
         Crossing is a static relation on the grid's edge set; of any crossing
-        pair at most one edge may carry connections.
+        pair at most one edge may carry connections. A sorted sweep finds the
+        pairs: the horizontal edges of a row are disjoint and come in x
+        order, so each vertical edge meets at most one edge per row strictly
+        between its endpoints, found by bisection.
         """
         conflicts: dict[EdgeKey, list[EdgeKey]] = {e: [] for e in self.all_edges}
-        horiz = [e for e in self.all_edges if e.horizontal]
-        vert = [e for e in self.all_edges if not e.horizontal]
-        for h in horiz:
-            for v in vert:
-                if segments_cross(h, v):
-                    conflicts[h].append(v)
-                    conflicts[v].append(h)
+        rows: dict[int, list[EdgeKey]] = {}
+        for e in self.all_edges:
+            if e.horizontal:
+                rows.setdefault(e.a.y, []).append(e)
+        ys = sorted(rows)
+        for v in self.all_edges:
+            if v.horizontal:
+                continue
+            x = v.a.x
+            for y in ys[bisect_right(ys, v.a.y):bisect_left(ys, v.b.y)]:
+                i = bisect_left(rows[y], x, key=lambda h: h.a.x) - 1
+                if i >= 0 and x < rows[y][i].b.x:
+                    conflicts[rows[y][i]].append(v)
+                    conflicts[v].append(rows[y][i])
         return {e: tuple(sorted(cs, key=lambda e: (e.a, e.b))) for e, cs in conflicts.items()}
 
     def total_magnitude(self) -> int:

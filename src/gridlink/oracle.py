@@ -17,10 +17,8 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, EdgeKey, Node, NumberedGrid, PuzzleState
-from .screens import screen
-from .tau import TauStatus, run_tau
-from .words import omega_star
+from .core import Coordinate, EdgeKey, Node, NumberedGrid
+from .tau import TauStatus, _stalls_at_start, run_tau
 
 MAX_SWEEP_K = 8
 _MAGNITUDE_CAP = 8
@@ -310,30 +308,6 @@ def generate(spec: GenSpec) -> NumberedGrid:
     )
 
 
-# Not run_tau's first step, which computes omega_star for every node: ~4x slower sweep.
-def _stalls_immediately(grid: NumberedGrid) -> bool:
-    """True when the propagation engine can make no move on the fresh grid.
-
-    Mirrors the engine's first iteration, rejecting as cheaply as possible:
-    most generated grids die on a screen, a leaf node, or a saturated node
-    long before any guaranteed-connection word has to be computed.
-    """
-    if screen(grid).unsolvable:
-        return False
-    state = PuzzleState.empty(grid)
-    for n in grid.nodes:
-        if grid.neighbor_count(n) == 1:  # R2 would fire
-            return False
-        total_cap = sum(state.remaining_capacity(n).values())
-        if n.magnitude >= total_cap:  # R1 would fire, or the node is dead
-            return False
-    for n in grid.nodes:
-        w = omega_star(state, n)
-        if w is None or not w.is_zero:
-            return False
-    return True
-
-
 def find_stall_witness(budget: int, spec: GenSpec) -> Optional[NumberedGrid]:
     """Search generated grids for a uniquely solvable instance on which the
     propagation engine makes no move at all.
@@ -350,7 +324,7 @@ def find_stall_witness(budget: int, spec: GenSpec) -> Optional[NumberedGrid]:
             grid = generate(candidate)
         except GenerationFailure:
             continue
-        if not _stalls_immediately(grid):
+        if not _stalls_at_start(grid):
             continue
         sols = enumerate_solutions(grid, limit=2)
         if len(sols) != 1 or not sols.exhausted:

@@ -11,6 +11,13 @@ in a fixed rule priority:
       incomplete node, preferring few neighbors and residuals far from the
       configuration-count peak at floor(r*k/2).
 
+R1-R3 are local: each reads one node and its remaining capacity, and they
+live in one rule table, _LOCAL_RULES, next to the over-capacity check that
+proves a node dead. The step function _next_move walks that table; run_tau
+loops over it; and the stall search (_stalls_at_start, used by
+oracle.find_stall_witness) walks the same table node by node, so a change
+to a rule reaches both.
+
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
 unsolvable. When the engine finishes a grid, the solution it built is the
@@ -81,44 +88,116 @@ def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
     zero word is the identity. Capacity, residual, and crossing violations
     propagate from the underlying connection bookkeeping.
     """
-    for d in Direction:
-        c = word.count(d)
-        if c == 0:
-            continue
-        q = state.grid.neighbor(p, d)
-        if q is None:
-            raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
-        state = state.add_connections(EdgeKey.between(p.coord, q.coord), c)
+    for e, c in _word_edges(state.grid, p, word):
+        state = state.add_connections(e, c)
     return state
 
 
-def _word_edges(state: PuzzleState, p: Node, word: ConfigWord) -> tuple[tuple[EdgeKey, int], ...]:
+def _word_edges(grid: NumberedGrid, p: Node, word: ConfigWord) -> tuple[tuple[EdgeKey, int], ...]:
     out = []
     for d in Direction:
         c = word.count(d)
         if c > 0:
-            q = state.grid.neighbor(p, d)
-            assert q is not None
+            q = grid.neighbor(p, d)
+            if q is None:
+                raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
             out.append((EdgeKey.between(p.coord, q.coord), c))
     return tuple(out)
 
 
-def _apply_step(state: PuzzleState, p: Node, rule: TauRule, word: ConfigWord):
-    edges = _word_edges(state, p, word)
-    new_state = apply_builder(state, p, word)
-    step = TauStep(p.coord, rule, word, edges, new_state.digest())
-    return new_state, step
+def _toward(d: Direction, m: int) -> ConfigWord:
+    return ConfigWord.from_counts(m if e is d else 0 for e in Direction)
+
+
+# The local rules read p's remaining capacity per direction (caps) and return
+# the word they force at p, or None when they do not fire there.
+
+def _overdrawn(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> bool:
+    """p needs more than its surroundings can still hold: no word exists."""
+    return state.residual(p) > sum(caps.values())
+
+
+def _saturate(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
+    if state.residual(p) != sum(caps.values()):
+        return None
+    return ConfigWord.from_counts(caps[d] for d in Direction)
+
+
+def _single_neighbor(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
+    if state.grid.neighbor_count(p) != 1:
+        return None
+    (d,) = state.grid.neighbors(p)
+    return _toward(d, state.residual(p))
+
+
+# Read after _single_neighbor, which claims the nodes with one neighbor.
+def _one_open_neighbor(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
+    open_dirs = [d for d, q in state.grid.neighbors(p).items() if state.residual(q) > 0]
+    if len(open_dirs) != 1:
+        return None
+    return _toward(open_dirs[0], state.residual(p))
+
+
+_LOCAL_RULES = (
+    (TauRule.R1_FULL_SATURATION, _saturate),
+    (TauRule.R2_SINGLE_NEIGHBOR, _single_neighbor),
+    (TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, _one_open_neighbor),
+)
+
+
+def _next_move(state: PuzzleState):
+    """The engine's next step as (node, rule, word), or its verdict as
+    (status, reason).
+
+    The over-capacity check runs over every incomplete node first, then each
+    local rule in table order across the incomplete nodes in row-major
+    order, then R4.
+    """
+    grid = state.grid
+    incomplete = [n for n in grid.nodes if state.residual(n) > 0]
+    if not incomplete:
+        check = is_solved(state)
+        # All nodes completed by forced moves, yet not a solution: the
+        # engine cannot certify unsolvability here, only fail to solve.
+        return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
+
+    caps = {n.coord: state.remaining_capacity(n) for n in incomplete}
+    for n in incomplete:
+        if _overdrawn(state, n, caps[n.coord]):
+            return TauStatus.UNSOLVABLE, (
+                f"node at {n.coord} needs {state.residual(n)} more connections but only "
+                f"{sum(caps[n.coord].values())} remain available around it"
+            )
+    for rule, forced in _LOCAL_RULES:
+        for n in incomplete:
+            word = forced(state, n, caps[n.coord])
+            if word is not None:
+                return n, rule, word
+
+    candidates = []
+    for n in incomplete:
+        w = omega_star(state, n)
+        if w is None:
+            return TauStatus.UNSOLVABLE, f"node at {n.coord} has no feasible configuration left"
+        if not w.is_zero:
+            r = grid.neighbor_count(n)
+            peak_distance = abs(state.residual(n) - (r * grid.k) // 2)
+            candidates.append(((r, -peak_distance, n.coord.y, n.coord.x), n, w))
+    if not candidates:
+        return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
+    _, n, w = min(candidates, key=lambda t: t[0])
+    return n, TauRule.R4_OMEGA_STAR, w
 
 
 def run_tau(grid: NumberedGrid) -> TauOutcome:
     """Run the propagation loop to a fixpoint.
 
     The grid is screened first; a screen violation short-circuits to
-    unsolvable. Afterwards each iteration scans incomplete nodes in row-major
-    order and applies the first rule that fires, preferring R1 over R2 over
-    R3 over R4. The outcome status is exactly one of solved, stalled, or
-    unsolvable; a stall means every incomplete node's guaranteed word is
-    empty, which the caller can re-verify against the final state.
+    unsolvable. Afterwards each iteration applies the first move that
+    _next_move finds, preferring R1 over R2 over R3 over R4. The outcome
+    status is exactly one of solved, stalled, or unsolvable; a stall means
+    every incomplete node's guaranteed word is empty, which the caller can
+    re-verify against the final state.
     """
     report = screen(grid)
     state = PuzzleState.empty(grid)
@@ -134,106 +213,33 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 
     trace: list[TauStep] = []
     while True:
-        incomplete = [n for n in grid.nodes if state.residual(n) > 0]
-        if not incomplete:
-            check = is_solved(state)
-            if check:
-                return TauOutcome(TauStatus.SOLVED, state, tuple(trace), screen_report=report)
-            # All nodes completed by forced moves, yet not a solution: the
-            # engine cannot certify unsolvability here, only fail to solve.
-            return TauOutcome(
-                TauStatus.STALLED, state, tuple(trace), reason=check.reason, screen_report=report
-            )
+        move = _next_move(state)
+        if isinstance(move[0], TauStatus):
+            status, reason = move
+            return TauOutcome(status, state, tuple(trace), reason=reason, screen_report=report)
+        n, rule, word = move
+        state = apply_builder(state, n, word)
+        trace.append(TauStep(n.coord, rule, word, _word_edges(grid, n, word), state.digest()))
 
-        caps = {n.coord: state.remaining_capacity(n) for n in incomplete}
 
-        # Any node that needs more than its surroundings can still hold is
-        # a dead end: no feasible word exists for it.
-        applied = False
-        for n in incomplete:
-            total_cap = sum(caps[n.coord].values())
-            res = state.residual(n)
-            if res > total_cap:
-                return TauOutcome(
-                    TauStatus.UNSOLVABLE,
-                    state,
-                    tuple(trace),
-                    reason=(
-                        f"node at {n.coord} needs {res} more connections but only "
-                        f"{total_cap} remain available around it"
-                    ),
-                    screen_report=report,
-                )
+def _stalls_at_start(grid: NumberedGrid) -> bool:
+    """True when run_tau stalls on the grid without drawing a connection.
 
-        # R1: residual equals total remaining capacity -> saturate.
-        for n in incomplete:
-            if state.residual(n) == sum(caps[n.coord].values()):
-                word = ConfigWord.from_counts(caps[n.coord][d] for d in Direction)
-                state, step = _apply_step(state, n, TauRule.R1_FULL_SATURATION, word)
-                trace.append(step)
-                applied = True
-                break
-        if applied:
-            continue
-
-        # R2: a single neighbor leaves one destination for everything.
-        for n in incomplete:
-            nbrs = grid.neighbors(n)
-            if len(nbrs) == 1:
-                (d, _q), = nbrs.items()
-                counts = [0, 0, 0, 0]
-                counts[d - 1] = state.residual(n)
-                state, step = _apply_step(
-                    state, n, TauRule.R2_SINGLE_NEIGHBOR, ConfigWord.from_counts(counts)
-                )
-                trace.append(step)
-                applied = True
-                break
-        if applied:
-            continue
-
-        # R3: all but one neighbor already complete -> one destination again.
-        for n in incomplete:
-            nbrs = grid.neighbors(n)
-            open_dirs = [d for d, q in nbrs.items() if state.residual(q) > 0]
-            if len(nbrs) > 1 and len(open_dirs) == 1:
-                d = open_dirs[0]
-                counts = [0, 0, 0, 0]
-                counts[d - 1] = state.residual(n)
-                state, step = _apply_step(
-                    state, n, TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, ConfigWord.from_counts(counts)
-                )
-                trace.append(step)
-                applied = True
-                break
-        if applied:
-            continue
-
-        # R4: fall back to guaranteed-connection words.
-        candidates = []
-        for n in incomplete:
-            w = omega_star(state, n)
-            if w is None:
-                return TauOutcome(
-                    TauStatus.UNSOLVABLE,
-                    state,
-                    tuple(trace),
-                    reason=f"node at {n.coord} has no feasible configuration left",
-                    screen_report=report,
-                )
-            if not w.is_zero:
-                r = grid.neighbor_count(n)
-                peak_distance = abs(state.residual(n) - (r * grid.k) // 2)
-                candidates.append(((r, -peak_distance, n.coord.y, n.coord.x), n, w))
-        if not candidates:
-            return TauOutcome(
-                TauStatus.STALLED,
-                state,
-                tuple(trace),
-                reason="no incomplete node has any guaranteed connection",
-                screen_report=report,
-            )
-        candidates.sort(key=lambda t: t[0])
-        _, n, w = candidates[0]
-        state, step = _apply_step(state, n, TauRule.R4_OMEGA_STAR, w)
-        trace.append(step)
+    Walks the engine's rule table node by node on the empty state, so most
+    grids are rejected by a screen or a local rule before any
+    guaranteed-connection word has to be computed.
+    """
+    if screen(grid).unsolvable:
+        return False
+    state = PuzzleState.empty(grid)
+    for n in grid.nodes:
+        caps = state.remaining_capacity(n)
+        if _overdrawn(state, n, caps) or any(
+            forced(state, n, caps) is not None for _, forced in _LOCAL_RULES
+        ):
+            return False
+    for n in grid.nodes:
+        w = omega_star(state, n)
+        if w is None or not w.is_zero:
+            return False
+    return True

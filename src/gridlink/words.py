@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .core import Direction, EdgeKey, Node, PuzzleState, _components
+from .core import Coordinate, Direction, EdgeKey, Node, NumberedGrid, PuzzleState, _components
 
 
 class NoConfigurationsError(ValueError):
@@ -166,17 +166,19 @@ def count_configs(n: int, r: int, k: int) -> int:
 
 
 def _passes_one_step(
-    state: PuzzleState,
+    grid: NumberedGrid,
+    residuals: dict[Coordinate, int],
+    connections: list[EdgeKey],
     p: Node,
     word: ConfigWord,
     targets: dict[Direction, Node],
 ) -> bool:
     """Conditions on the hypothetical state after applying word at p:
     no sealed-off set of completed nodes, and no incomplete node left with
-    only completed neighbors.
+    only completed neighbors. residuals and connections describe the state
+    before the word and are read, not modified.
     """
-    grid = state.grid
-    res = {n.coord: state.residual(n) for n in grid.nodes}
+    res = dict(residuals)
     res[p.coord] -= word.length
     new_edges = []
     for d, q in targets.items():
@@ -188,7 +190,7 @@ def _passes_one_step(
     # Sealed-component check: a connected component made only of completed
     # nodes must contain every node (in which case it is a solution).
     total = len(grid.nodes)
-    for comp in _components(grid, chain(state.connections(), new_edges)):
+    for comp in _components(grid, chain(connections, new_edges)):
         if len(comp) < total and all(res[c] == 0 for c in comp):
             return False
 
@@ -217,16 +219,18 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     res = state.residual(p)
     if res < 1:
         raise ValueError(f"node at {p.coord} is already complete")
-    k = state.grid.k
-    if res > 4 * k:
+    grid = state.grid
+    if res > 4 * grid.k:
         return WordSet.empty()
     caps = state.remaining_capacity(p)
-    targets = state.grid.neighbors(p)
+    targets = grid.neighbors(p)
+    residuals = {n.coord: state.residual(n) for n in grid.nodes}
+    connections = list(state.connections())
     survivors = []
-    for word in enumerate_phi_k(res, k):
+    for word in enumerate_phi_k(res, grid.k):
         if any(word.count(d) > caps[d] for d in Direction):
             continue
-        if _passes_one_step(state, p, word, targets):
+        if _passes_one_step(grid, residuals, connections, p, word, targets):
             survivors.append(word)
     return WordSet(tuple(survivors))
 

@@ -104,6 +104,15 @@ class TestSegmentsCross:
         e2 = edge(x2, y2, x2, y2 + 1 + dy2)
         assert segments_cross(e1, e2) == segments_cross(e2, e1)
 
+    @settings(max_examples=80, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40))
+    def test_crossing_conflicts_match_pairwise_scan(self, coords):
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+        expected = {
+            e: tuple(f for f in g.all_edges if segments_cross(e, f)) for e in g.all_edges
+        }
+        assert g.crossing_conflicts == expected
+
 
 class TestGridValidation:
     def test_duplicate_coordinates_rejected(self):

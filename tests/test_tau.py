@@ -1,10 +1,16 @@
 """Propagation engine: builder arithmetic, rule selection, outcomes."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from gridlink import (
     ConfigWord,
     Coordinate,
+    GenMode,
+    GenSpec,
+    GenerationFailure,
     NumberedGrid,
     PuzzleState,
     ResidualExceeded,
@@ -14,9 +20,14 @@ from gridlink import (
     enumerate_solutions,
     is_solved,
     node,
+    generate,
     omega_star,
+    parse_puzzle,
     run_tau,
 )
+from gridlink.tau import _stalls_at_start
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def square_grid():
@@ -144,3 +155,74 @@ class TestRunTau:
             sols = enumerate_solutions(g)
             assert len(sols) == 1 and sols.exhausted
             assert sols.solutions[0] == dict(out.final_state.sorted_items())
+
+
+def generated(shapes):
+    """Grids from (width, height, density, k, mode, seeds) rows, skipping
+    specs the generator cannot place."""
+    grids = []
+    for width, height, density, k, mode, seeds in shapes:
+        for seed in seeds:
+            spec = GenSpec(seed=seed, width=width, height=height, node_density=density, k=k, mode=mode)
+            try:
+                grids.append(generate(spec))
+            except GenerationFailure:
+                continue
+    return grids
+
+
+class TestStallProbe:
+    def grids(self):
+        fixtures = [parse_puzzle(p.read_text()) for p in sorted(FIXTURES.glob("*.puzzle"))]
+        # The constructive window ends at the committed pinwheel_like witness.
+        return fixtures + generated([
+            (4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(29440, 29640)),
+            (4, 4, 0.75, 2, GenMode.RANDOM, range(200)),
+        ])
+
+    def test_probe_agrees_with_the_engine(self):
+        grids = self.grids()
+        assert len(grids) >= 300
+        flagged = 0
+        for g in grids:
+            out = run_tau(g)
+            expected = out.status is TauStatus.STALLED and not out.trace
+            assert _stalls_at_start(g) == expected, g.nodes
+            flagged += expected
+        assert flagged >= 2
+
+
+# Generated grids that reach every status, both of the engine's own
+# unsolvable reasons, and every rule.
+ENGINE_CORPUS = [
+    (3, 3, 0.9, 1, GenMode.RANDOM, range(150, 190)),
+    (4, 4, 0.65, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (5, 5, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (5, 4, 0.7, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+]
+# sha256 over every outcome's status, reason and full trace, recorded before
+# run_tau became a loop over one step function: refactors of the engine must
+# not change a single step.
+ENGINE_CORPUS_DIGEST = "c3c92698207fdfd1c323d9ef19ccf6808c47b91dfb988601afd4ef5f1b871ec7"
+ENGINE_REASONS = ("remain available around it", "has no feasible configuration left")
+
+
+class TestEngineCorpus:
+    def test_outcomes_are_pinned(self):
+        digest = hashlib.sha256()
+        statuses, reasons, rules = set(), set(), set()
+        for g in generated(ENGINE_CORPUS):
+            out = run_tau(g)
+            steps = [
+                (st.rule.value, str(st.node), st.word.digits(),
+                 [(str(e), m) for e, m in st.edges], st.state_digest)
+                for st in out.trace
+            ]
+            digest.update(repr((out.status.value, out.reason, steps)).encode("ascii"))
+            statuses.add(out.status)
+            reasons.update(r for r in ENGINE_REASONS if r in (out.reason or ""))
+            rules.update(st.rule for st in out.trace)
+        assert statuses == set(TauStatus)
+        assert reasons == set(ENGINE_REASONS)
+        assert rules == set(TauRule)
+        assert digest.hexdigest() == ENGINE_CORPUS_DIGEST
