@@ -179,19 +179,14 @@ def render_board(state: PuzzleState) -> str:
 
     width = max(len(cell_text(Coordinate(x, y))) for y in range(max_y + 1) for x in range(max_x + 1))
 
-    def h_mult(x: int, y: int) -> int:
-        """Multiplicity of the horizontal connection covering the gap x..x+1."""
-        for e, m in state.sorted_items():
-            if e.horizontal and e.a.y == y and e.a.x <= x < e.b.x:
-                return m
-        return 0
-
-    def v_mult(x: int, y: int) -> int:
-        """Multiplicity of the vertical connection covering the gap y..y+1."""
-        for e, m in state.sorted_items():
-            if not e.horizontal and e.a.x == x and e.a.y <= y < e.b.y:
-                return m
-        return 0
+    # (horizontal, x, y) of each unit gap a connection covers -> multiplicity;
+    # a horizontal gap runs from (x, y) to (x + 1, y), a vertical one upward.
+    gaps: dict[tuple[bool, int, int], int] = {}
+    for e, m in state.sorted_items():
+        if e.horizontal:
+            gaps.update(((True, x, e.a.y), m) for x in range(e.a.x, e.b.x))
+        else:
+            gaps.update(((False, e.a.x, y), m) for y in range(e.a.y, e.b.y))
 
     h_glyphs = {1: "-" * 3, 2: "=" * 3}
     v_glyphs = {1: "|", 2: "‖"}
@@ -201,13 +196,13 @@ def render_board(state: PuzzleState) -> str:
         for x in range(max_x + 1):
             row_parts.append(cell_text(Coordinate(x, y)).center(width))
             if x < max_x:
-                m = h_mult(x, y)
+                m = gaps.get((True, x, y), 0)
                 row_parts.append(h_glyphs.get(m, f"-{m}-".center(3)) if m else " " * 3)
         lines.append("".join(row_parts).rstrip())
         if y > 0:
             gap_parts = []
             for x in range(max_x + 1):
-                m = v_mult(x, y - 1)
+                m = gaps.get((False, x, y - 1), 0)
                 glyph = v_glyphs.get(m, str(m)) if m else " "
                 gap_parts.append(glyph.center(width))
                 if x < max_x:

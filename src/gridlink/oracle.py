@@ -101,7 +101,6 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     headroom = {c: k * len(incident[c]) for c in magnitude}
     values = [0] * len(edges)
     found: list[dict] = []
-    truncated = False
 
     def sealed_off(start: Coordinate) -> bool:
         """True when start's positive-edge component is fully completed but
@@ -135,23 +134,29 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
                         stack.append(other)
         return len(comp) == n_nodes
 
-    def descend(i: int) -> bool:
-        """Assign edge i onward; returns False when the limit was reached."""
-        nonlocal truncated
+    # Depth-first search with an explicit cursor: i is the edge being
+    # assigned, and cursor[i] the next multiplicity to try on it; edges past
+    # i hold 0. A recursion would need one frame per edge, which long grids
+    # exceed. The loop ends with i < 0 unless the limit stopped it.
+    cursor = [0] * len(edges)
+    i = 0
+    while i >= 0:
         if i == len(edges):
             if all(degree[c] == magnitude[c] for c in magnitude) and connected():
                 found.append({edges[j]: values[j] for j in range(len(edges)) if values[j] > 0})
                 if limit is not None and len(found) >= limit:
-                    truncated = True
-                    return False
-            return True
+                    break
+            i -= 1
+            continue
         e = edges[i]
+        if cursor[i] == 0:
+            headroom[e.a] -= k
+            headroom[e.b] -= k
+        else:  # back from the subtree below: withdraw the value it assumed
+            degree[e.a] -= values[i]
+            degree[e.b] -= values[i]
         blocked = any(values[j] > 0 for j in conflicts[i] if j < i)
-        headroom[e.a] -= k
-        headroom[e.b] -= k
-        for v in range(k + 1):
-            if v > 0 and blocked:
-                break
+        for v in range(cursor[i], 1 if blocked else k + 1):
             values[i] = v
             degree[e.a] += v
             degree[e.b] += v
@@ -162,26 +167,20 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
                 and magnitude[e.b] - degree[e.b] <= headroom[e.b]
             )
             if ok and v > 0:
-                for c in (e.a, e.b):
-                    if degree[c] == magnitude[c] and sealed_off(c):
-                        ok = False
-                        break
-            if ok and not descend(i + 1):
-                degree[e.a] -= v
-                degree[e.b] -= v
-                values[i] = 0
-                headroom[e.a] += k
-                headroom[e.b] += k
-                return False
+                ok = not any(degree[c] == magnitude[c] and sealed_off(c) for c in (e.a, e.b))
+            if ok:
+                cursor[i] = v + 1
+                i += 1
+                break
             degree[e.a] -= v
             degree[e.b] -= v
-        values[i] = 0
-        headroom[e.a] += k
-        headroom[e.b] += k
-        return True
-
-    descend(0)
-    return SolutionSet(tuple(found), exhausted=not truncated)
+        else:
+            values[i] = 0
+            cursor[i] = 0
+            headroom[e.a] += k
+            headroom[e.b] += k
+            i -= 1
+    return SolutionSet(tuple(found), exhausted=i < 0)
 
 
 def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:

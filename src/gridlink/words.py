@@ -8,16 +8,17 @@ representation.
 This module enumerates the grid-agnostic word set for a magnitude, counts it
 by generating-function dynamic programming, filters it down to the words that
 are feasible in a concrete state, and intersects the survivors into the
-guaranteed-connection word.
+guaranteed-connection word. The filter reads the state once per call (its
+residuals and connected components) and then judges each word by the few
+nodes it changes, not by rebuilding the state the word would leave.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .core import Coordinate, Direction, EdgeKey, Node, NumberedGrid, PuzzleState, _components
+from .core import Coordinate, Direction, Node, PuzzleState, _components
 
 
 class NoConfigurationsError(ValueError):
@@ -165,45 +166,6 @@ def count_configs(n: int, r: int, k: int) -> int:
     return coeffs[n]
 
 
-def _passes_one_step(
-    grid: NumberedGrid,
-    residuals: dict[Coordinate, int],
-    connections: list[EdgeKey],
-    p: Node,
-    word: ConfigWord,
-    targets: dict[Direction, Node],
-) -> bool:
-    """Conditions on the hypothetical state after applying word at p:
-    no sealed-off set of completed nodes, and no incomplete node left with
-    only completed neighbors. residuals and connections describe the state
-    before the word and are read, not modified.
-    """
-    res = dict(residuals)
-    res[p.coord] -= word.length
-    new_edges = []
-    for d, q in targets.items():
-        c = word.count(d)
-        if c > 0:
-            res[q.coord] -= c
-            new_edges.append(EdgeKey.between(p.coord, q.coord))
-
-    # Sealed-component check: a connected component made only of completed
-    # nodes must contain every node (in which case it is a solution).
-    total = len(grid.nodes)
-    for comp in _components(grid, chain(connections, new_edges)):
-        if len(comp) < total and all(res[c] == 0 for c in comp):
-            return False
-
-    # Starvation check: every still-incomplete node needs at least one
-    # incomplete neighbor left to trade with.
-    for n in grid.nodes:
-        if res[n.coord] > 0:
-            nbrs = grid.neighbors(n)
-            if all(res[q.coord] == 0 for q in nbrs.values()):
-                return False
-    return True
-
-
 def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     """The words for p's residual magnitude that survive all five feasibility
     conditions against the current state.
@@ -214,6 +176,18 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     no starved incomplete node -- the last two judged on the state as it
     would look one step after applying the word.
 
+    The last two are judged without building that state. A word lowers
+    residuals only at p and at the neighbors it sends connections to, and
+    each of those has residual > 0 beforehand (capacity toward a neighbor is
+    capped by its residual). So a component that is completed now stays so,
+    untouched: if one does not span the grid, or an incomplete node has no
+    incomplete neighbor, no word can help and the result is empty. Otherwise
+    the only component a word can seal is the one it forms, p's merged with
+    those of the neighbors it uses: sealed exactly when it does not span the
+    grid and their residual sums add up to the 2 * len(word) the word uses.
+    And since no node is starved before the word, the only nodes it can
+    starve are the neighbors of the nodes it completes.
+
     An empty result is meaningful: the state admits no completion of p.
     """
     res = state.residual(p)
@@ -222,16 +196,42 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     grid = state.grid
     if res > 4 * grid.k:
         return WordSet.empty()
+    total = len(grid.nodes)
+    residual = {n.coord: state.residual(n) for n in grid.nodes}
+    near = {n.coord: [q.coord for q in grid.neighbors(n).values()] for n in grid.nodes}
+    label: dict[Coordinate, int] = {}
+    sums, sizes = [], []
+    for comp in _components(grid, state.connections()):
+        comp_sum = sum(residual[c] for c in comp)
+        if comp_sum == 0 and len(comp) < total:
+            return WordSet.empty()
+        label.update(dict.fromkeys(comp, len(sums)))
+        sums.append(comp_sum)
+        sizes.append(len(comp))
+
+    def starved(c: Coordinate, after: dict[Coordinate, int]) -> bool:
+        """c is incomplete and its neighbors are not, with after's residuals."""
+        return after.get(c, residual[c]) > 0 and all(after.get(q, residual[q]) == 0 for q in near[c])
+
+    if any(starved(c, {}) for c in near):
+        return WordSet.empty()
     caps = state.remaining_capacity(p)
     targets = grid.neighbors(p)
-    residuals = {n.coord: state.residual(n) for n in grid.nodes}
-    connections = list(state.connections())
     survivors = []
     for word in enumerate_phi_k(res, grid.k):
         if any(word.count(d) > caps[d] for d in Direction):
             continue
-        if _passes_one_step(grid, residuals, connections, p, word, targets):
-            survivors.append(word)
+        after = {p.coord: 0}
+        for d, m in zip(Direction, word.counts):
+            if m:
+                q = targets[d].coord
+                after[q] = residual[q] - m
+        merged = {label[c] for c in after}
+        if sum(sums[i] for i in merged) == 2 * res and sum(sizes[i] for i in merged) < total:
+            continue
+        if any(starved(q, after) for c, left in after.items() if not left for q in near[c]):
+            continue
+        survivors.append(word)
     return WordSet(tuple(survivors))
 
 

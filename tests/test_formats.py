@@ -1,5 +1,8 @@
 """Text formats: parsing, serialization, verification, rendering, tables."""
 
+import hashlib
+from random import Random
+
 import pytest
 
 from gridlink import (
@@ -8,6 +11,10 @@ from gridlink import (
     DuplicateCoordinateError,
     DuplicateEdgeError,
     EdgeKey,
+    GenMode,
+    GenSpec,
+    GenerationFailure,
+    GridError,
     MissingHeaderError,
     NumberedGrid,
     ParseError,
@@ -15,6 +22,7 @@ from gridlink import (
     RangeError,
     apply_builder,
     count_table,
+    generate,
     node,
     parse_puzzle,
     parse_solution,
@@ -27,6 +35,34 @@ from gridlink import (
 
 def edge(x1, y1, x2, y2):
     return EdgeKey.between(Coordinate(x1, y1), Coordinate(x2, y2))
+
+
+def random_boards():
+    """Generated grids of up to 12x12 cells, each with a random set of the
+    connections its state accepts (multiplicities up to k = 3)."""
+    rng = Random(12)
+    for seed in range(40):
+        spec = GenSpec(
+            seed=seed, width=rng.randint(2, 12), height=rng.randint(2, 12),
+            node_density=rng.uniform(0.3, 0.9), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
+        )
+        try:
+            g = generate(spec)
+        except GenerationFailure:
+            continue
+        state = PuzzleState.empty(g)
+        for e in g.all_edges:
+            if rng.random() < 0.5:
+                try:
+                    state = state.add_connections(e, rng.randint(1, g.k))
+                except GridError:
+                    pass
+        yield state
+
+
+# sha256 of render_board over random_boards(), recorded before render_board
+# read each connection once: the board text must not change.
+BOARDS_DIGEST = "24cb796a668f323753dc66e87abc6d9a299862a8c9bea55c4b00365b9797a8cb"
 
 
 class TestParsePuzzle:
@@ -154,6 +190,12 @@ class TestRenderBoard:
         s = PuzzleState.empty(g)
         s = apply_builder(s, g.node_at(Coordinate(0, 0)), ConfigWord(1, 1, 0, 0))
         assert render_board(s) == render_board(s)
+
+    def test_generated_boards_are_pinned(self):
+        digest = hashlib.sha256()
+        for state in random_boards():
+            digest.update(render_board(state).encode("utf-8"))
+        assert digest.hexdigest() == BOARDS_DIGEST
 
 
 class TestCountTable:

@@ -54,6 +54,12 @@ def brute_force_square_solutions():
     return keepers
 
 
+# sha256 of every corpus grid's solutions in search order, with and without
+# a limit, recorded before the enumerator's recursion became an explicit
+# cursor: the order and the pruning must not change.
+CORPUS_SOLUTIONS_DIGEST = "581793472cce27b5d52a907bf2844166d04404085c2fcc55b158f8e18668e407"
+
+
 class TestEnumerateSolutions:
     def test_single_pair(self):
         g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1)])
@@ -109,6 +115,23 @@ class TestEnumerateSolutions:
             for e in m:
                 for other in g.crossing_conflicts[e]:
                     assert other not in m
+
+    def test_long_chain_enumerates_to_its_path(self):
+        # One edge per pair of neighbors, 1499 deep: more than a recursion
+        # with one frame per edge can take.
+        n = 1500
+        g = NumberedGrid(1, [node(x, 0, 1 if x in (0, n - 1) else 2) for x in range(n)])
+        sols = enumerate_solutions(g)
+        assert sols.exhausted and len(sols) == 1
+        assert sols.solutions[0] == {e: 1 for e in g.all_edges}
+
+    def test_corpus_output_is_pinned(self, corpus, corpus_solutions):
+        digest = hashlib.sha256()
+        for g, full in zip(corpus, corpus_solutions):
+            for sols in (full, enumerate_solutions(g, limit=2)):
+                listed = [[(str(e), m) for e, m in s.items()] for s in sols.solutions]
+                digest.update(repr((sols.exhausted, listed)).encode("ascii"))
+        assert digest.hexdigest() == CORPUS_SOLUTIONS_DIGEST
 
     def test_deterministic_output_order(self):
         g = NumberedGrid(2, [

@@ -1,5 +1,7 @@
 """Configuration words: enumeration, counting, feasibility, guaranteed words."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,10 @@ from hypothesis import strategies as st
 from gridlink import (
     ConfigWord,
     Coordinate,
+    Direction,
+    GenMode,
+    GenSpec,
+    GenerationFailure,
     NoConfigurationsError,
     NumberedGrid,
     PuzzleState,
@@ -14,10 +20,12 @@ from gridlink import (
     count_configs,
     enumerate_feasible,
     enumerate_phi_k,
+    generate,
     node,
     omega_star,
     word_meet,
 )
+from gridlink.core import _components
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
 PHI_5_2 = {
@@ -135,6 +143,60 @@ def tutorial_grid():
     ])
 
 
+def fitting_words(state, p, n):
+    """The words of n connections at p that its remaining capacity allows."""
+    caps = state.remaining_capacity(p)
+    return [w for w in enumerate_phi_k(n, state.grid.k) if all(w.count(d) <= caps[d] for d in Direction)]
+
+
+def whole_state_feasible(state, p):
+    """enumerate_feasible by its definition: apply each word that fits and
+    judge the whole state it leaves."""
+    grid = state.grid
+    if state.residual(p) > 4 * grid.k:
+        return []
+    kept = []
+    for w in fitting_words(state, p, state.residual(p)):
+        after = apply_builder(state, p, w)
+        left = {n.coord: after.residual(n) for n in grid.nodes}
+        sealed = any(
+            len(comp) < len(grid.nodes) and all(left[c] == 0 for c in comp)
+            for comp in _components(grid, after.connections())
+        )
+        starved = any(
+            left[n.coord] > 0 and all(left[q.coord] == 0 for q in grid.neighbors(n).values())
+            for n in grid.nodes
+        )
+        if not sealed and not starved:
+            kept.append(w)
+    return kept
+
+
+def reachable_states(rng, count):
+    """Generated grids, each followed from the empty state through a few
+    random words that fit the remaining capacity, completing a node or not."""
+    for seed in range(count):
+        spec = GenSpec(
+            seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
+            node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
+        )
+        try:
+            g = generate(spec)
+        except GenerationFailure:
+            continue
+        state = PuzzleState.empty(g)
+        yield state
+        for _ in range(rng.randint(1, 10)):
+            open_nodes = [n for n in g.nodes if state.residual(n) > 0]
+            if not open_nodes:
+                break
+            p = rng.choice(open_nodes)
+            words = fitting_words(state, p, rng.randint(1, min(state.residual(p), 4 * g.k)))
+            if words:
+                state = apply_builder(state, p, rng.choice(words))
+                yield state
+
+
 class TestEnumerateFeasible:
     def test_corner_node_has_single_feasible_word(self):
         g = tutorial_grid()
@@ -175,6 +237,18 @@ class TestEnumerateFeasible:
         s = apply_builder(s, g.nodes[0], ConfigWord(0, 1, 0, 0))
         with pytest.raises(ValueError):
             enumerate_feasible(s, g.nodes[0])
+
+    def test_matches_whole_state_definition(self):
+        checked = empty = 0
+        for state in reachable_states(Random(4), 60):
+            for p in state.grid.nodes:
+                if state.residual(p) > 0:
+                    got = list(enumerate_feasible(state, p))
+                    assert got == whole_state_feasible(state, p), (state.digest(), p.coord)
+                    checked += 1
+                    empty += not got
+        # Both outcomes must be well represented for the comparison to mean much.
+        assert checked > 1500 and 0.2 < empty / checked < 0.8
 
 
 class TestOmegaStar:
