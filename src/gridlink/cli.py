@@ -353,6 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "limit", 1) < 1:  # solve and enumerate
+            parser.error(f"argument --limit: must be >= 1, got {args.limit}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

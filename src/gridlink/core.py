@@ -4,8 +4,13 @@ geometry, and the solved-grid verifier.
 Coordinates grow rightward (x) and upward (y), so a node's Top neighbor is
 the nearest node with the same x and a strictly larger y. Neighbors are the
 nearest node in each axis direction; in sparse grids they may be far away.
-Each grid works its neighbors out once, into a table that every neighbor,
-edge and crossing query reads.
+
+Each grid compiles its topology once, over integer ids: a node id is the
+node's position in nodes and an edge id its position in all_edges. The
+tables are a 4-slot link table per node, the endpoints of each edge, and
+the ids of the edges crossing each edge. PuzzleState keeps multiplicities
+by edge id and residuals by node id, and words, tau and the oracle read
+these tables. Coordinate, EdgeKey and Node appear only at the API edge.
 
 All types here are immutable values: operations that change a state return a
 new one, which keeps speculative application and rollback cheap for the
@@ -14,12 +19,11 @@ propagation engine and the exhaustive solver.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class GridError(Exception):
@@ -95,7 +99,7 @@ def node(x: int, y: int, magnitude: int) -> Node:
     return Node(Coordinate(x, y), magnitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EdgeKey:
     """Unordered neighbor pair, stored with endpoints in lexicographic order."""
 
@@ -140,7 +144,10 @@ class NumberedGrid:
     """Immutable puzzle instance: the per-pair bound k plus the node set.
 
     Nodes are kept in row-major order (by y, then x), which fixes the scan
-    order used throughout the package.
+    order used throughout the package. A node's id is its position in nodes
+    and an edge's id its position in all_edges; the grid compiles its
+    topology into tables over these ids once, on first use, and every
+    neighbor, edge and crossing query reads them.
     """
 
     __slots__ = ("k", "nodes", "__dict__")
@@ -170,167 +177,179 @@ class NumberedGrid:
         return f"NumberedGrid(k={self.k}, nodes={len(self.nodes)})"
 
     @cached_property
-    def _by_coord(self) -> dict[Coordinate, Node]:
-        return {n.coord: n for n in self.nodes}
+    def _index(self) -> dict[Coordinate, int]:
+        return {n.coord: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def _adjacent(self) -> dict[Coordinate, dict[Direction, Node]]:
-        """Coordinate -> existing neighbors in Direction order.
+    def _links(self) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+        """Per node id, four slots in Direction order, each (neighbor id,
+        edge id) or None.
 
-        One sorted pass along rows and one along columns link each node to
-        the next node on its line.
+        Each node links to the next node on its row and column. Edge ids
+        follow the canonical edge order: by lower endpoint in (x, y) order,
+        its TOP edge before its RIGHT one. Tables are built from lists, as
+        tuple() over a generator resizes, which fills CPython's free lists.
         """
-        slots: dict[Coordinate, list[Optional[Node]]] = {n.coord: [None] * 4 for n in self.nodes}
-        for p, q in zip(self.nodes, self.nodes[1:]):  # row-major: (y, x)
-            if p.coord.y == q.coord.y:
-                slots[p.coord][Direction.RIGHT - 1] = q
-                slots[q.coord][Direction.LEFT - 1] = p
-        by_column = sorted(self.nodes, key=lambda n: (n.coord.x, n.coord.y))
-        for p, q in zip(by_column, by_column[1:]):
-            if p.coord.x == q.coord.x:
-                slots[p.coord][Direction.TOP - 1] = q
-                slots[q.coord][Direction.BOTTOM - 1] = p
-        return {
-            c: {d: q for d, q in zip(Direction, row) if q is not None}
-            for c, row in slots.items()
-        }
+        coords = [n.coord for n in self.nodes]
+        n = len(coords)
+        by_column = sorted(range(n), key=lambda i: (coords[i].x, coords[i].y))
+        links: list[list[Optional[tuple[int, int]]]] = [[None] * 4 for _ in coords]
+        e = 0
+        for a, up in zip(by_column, by_column[1:] + [None]):
+            top = up if up is not None and coords[up].x == coords[a].x else None
+            right = a + 1 if a + 1 < n and coords[a + 1].y == coords[a].y else None
+            for d, b in ((Direction.TOP, top), (Direction.RIGHT, right)):
+                if b is not None:
+                    links[a][d - 1], links[b][d.opposite - 1] = (b, e), (a, e)
+                    e += 1
+        return tuple([tuple(row) for row in links])
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        """Per edge id, its two node ids in canonical order."""
+        # A node's TOP and RIGHT slots hold the edges it is the lower end of.
+        ends = {e: (a, b) for a, row in enumerate(self._links) for b, e in filter(None, row[:2])}
+        return tuple([ends[e] for e in range(len(ends))])
 
     def node_at(self, coord: Coordinate) -> Optional[Node]:
-        return self._by_coord.get(coord)
+        i = self._index.get(coord)
+        return None if i is None else self.nodes[i]
 
     def neighbor(self, p: Node, d: Direction) -> Optional[Node]:
         """The nearest node strictly in direction d from p, or None.
 
         Neighbors are the nearest node in the shared row or column, not
-        necessarily at distance 1; the grid works them all out once, on
-        first use.
+        necessarily at distance 1.
         """
-        return self._adjacent[p.coord].get(d)
+        link = self._links[self._index[p.coord]][d - 1]
+        return None if link is None else self.nodes[link[0]]
 
     def neighbors(self, p: Node) -> dict[Direction, Node]:
         """Existing neighbors of p, keyed by direction."""
-        return dict(self._adjacent[p.coord])
+        links = self._links[self._index[p.coord]]
+        return {d: self.nodes[link[0]] for d, link in zip(Direction, links) if link is not None}
 
     def neighbor_count(self, p: Node) -> int:
-        return len(self._adjacent[p.coord])
+        return 4 - self._links[self._index[p.coord]].count(None)
+
+    def _edge_id(self, e: EdgeKey) -> Optional[int]:
+        """The id of e, or None when e does not join neighboring nodes."""
+        a, b = self._index.get(e.a), self._index.get(e.b)
+        links = () if a is None else self._links[a]
+        return next((link[1] for link in links if link is not None and link[0] == b), None)
 
     @cached_property
     def all_edges(self) -> tuple[EdgeKey, ...]:
         """Every neighbor-pair edge of the grid, in canonical order."""
-        edges = []
-        for p in self.nodes:
-            nbrs = self._adjacent[p.coord]
-            for d in (Direction.TOP, Direction.RIGHT):
-                if d in nbrs:
-                    edges.append(EdgeKey.between(p.coord, nbrs[d].coord))
-        return tuple(sorted(edges, key=lambda e: (e.a, e.b)))
+        return tuple([EdgeKey(self.nodes[a].coord, self.nodes[b].coord) for a, b in self._ends])
 
     @cached_property
-    def edge_set(self) -> frozenset[EdgeKey]:
-        return frozenset(self.all_edges)
+    def _crossings(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge id, the sorted ids of the edges that geometrically cross it.
+
+        A sorted sweep finds the pairs: the horizontal edges of a row are
+        disjoint and come in x order, so each vertical edge meets at most one
+        edge per row strictly between its endpoints, found by bisection.
+        """
+        crossing: list[list[int]] = [[] for _ in self._ends]
+        rows: dict[int, list[tuple[int, int, int]]] = {}  # y -> (left x, right x, edge id)
+        spans = [(self.nodes[a].coord, self.nodes[b].coord) for a, b in self._ends]
+        for e, (p, q) in enumerate(spans):
+            if p.y == q.y:
+                rows.setdefault(p.y, []).append((p.x, q.x, e))
+        ys = sorted(rows)
+        for v, (p, q) in enumerate(spans):
+            if p.y == q.y:
+                continue
+            for y in ys[bisect_right(ys, p.y):bisect_left(ys, q.y)]:
+                row = rows[y]
+                i = bisect_left(row, (p.x,)) - 1
+                if i >= 0 and p.x < row[i][1]:
+                    crossing[row[i][2]].append(v)
+                    crossing[v].append(row[i][2])
+        return tuple([tuple(sorted(cs)) for cs in crossing])
 
     @cached_property
     def crossing_conflicts(self) -> dict[EdgeKey, tuple[EdgeKey, ...]]:
         """For each edge, the edges that geometrically cross it.
 
         Crossing is a static relation on the grid's edge set; of any crossing
-        pair at most one edge may carry connections. A sorted sweep finds the
-        pairs: the horizontal edges of a row are disjoint and come in x
-        order, so each vertical edge meets at most one edge per row strictly
-        between its endpoints, found by bisection.
+        pair at most one edge may carry connections.
         """
-        conflicts: dict[EdgeKey, list[EdgeKey]] = {e: [] for e in self.all_edges}
-        rows: dict[int, list[EdgeKey]] = {}
-        for e in self.all_edges:
-            if e.horizontal:
-                rows.setdefault(e.a.y, []).append(e)
-        ys = sorted(rows)
-        for v in self.all_edges:
-            if v.horizontal:
-                continue
-            x = v.a.x
-            for y in ys[bisect_right(ys, v.a.y):bisect_left(ys, v.b.y)]:
-                i = bisect_left(rows[y], x, key=lambda h: h.a.x) - 1
-                if i >= 0 and x < rows[y][i].b.x:
-                    conflicts[rows[y][i]].append(v)
-                    conflicts[v].append(rows[y][i])
-        return {e: tuple(sorted(cs, key=lambda e: (e.a, e.b))) for e, cs in conflicts.items()}
+        edges = self.all_edges
+        return {e: tuple([edges[j] for j in cs]) for e, cs in zip(edges, self._crossings)}
 
     def total_magnitude(self) -> int:
         return sum(n.magnitude for n in self.nodes)
 
 
 class PuzzleState:
-    """A grid plus an immutable connection multiset (edge -> multiplicity).
+    """A grid plus an immutable connection multiset.
 
-    Zero multiplicities are never stored. Construction validates the full
-    invariant set unless the map comes from an already-checked operation.
+    Multiplicities are kept by edge id and residuals by node id, as tuples.
+    The constructor checks the full invariant set on the map it is given;
+    add_connections checks what one addition can break and updates the two
+    endpoints.
     """
 
-    __slots__ = ("grid", "_mult", "_deg")
+    __slots__ = ("grid", "_mult", "_res")
 
-    def __init__(
-        self,
-        grid: NumberedGrid,
-        connections: Optional[Mapping[EdgeKey, int]] = None,
-        *,
-        _trusted: bool = False,
-    ) -> None:
-        self.grid = grid
-        mult: dict[EdgeKey, int] = dict(connections) if connections else {}
-        deg: dict[Coordinate, int] = {}
-        for e, m in mult.items():
-            deg[e.a] = deg.get(e.a, 0) + m
-            deg[e.b] = deg.get(e.b, 0) + m
-        self._mult = mult
-        self._deg = deg
-        if not _trusted:
-            self._validate()
-
-    def _validate(self) -> None:
-        k = self.grid.k
-        for e, m in self._mult.items():
-            if e not in self.grid.edge_set:
+    def __init__(self, grid: NumberedGrid, connections: Optional[Mapping[EdgeKey, int]] = None) -> None:
+        mult = [0] * len(grid._ends)
+        res = [n.magnitude for n in grid.nodes]
+        given = []
+        for e, m in dict(connections or {}).items():
+            i = grid._edge_id(e)
+            if i is None:
                 raise InvalidConnectionError(f"{e} does not join neighboring nodes")
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m} on {e}")
-            if m > k:
-                raise CapacityExceeded(f"multiplicity {m} exceeds k={k} on {e}")
-        for n in self.grid.nodes:
-            if self.degree(n) > n.magnitude:
+            if m > grid.k:
+                raise CapacityExceeded(f"multiplicity {m} exceeds k={grid.k} on {e}")
+            mult[i] = m
+            for a in grid._ends[i]:
+                res[a] -= m
+            given.append(i)
+        for n, r in zip(grid.nodes, res):
+            if r < 0:
                 raise ResidualExceeded(
-                    f"node at {n.coord} has degree {self.degree(n)} > magnitude {n.magnitude}"
+                    f"node at {n.coord} has degree {n.magnitude - r} > magnitude {n.magnitude}"
                 )
-        for e in self._mult:
-            for c in self.grid.crossing_conflicts[e]:
-                if c in self._mult:
-                    raise CrossingViolation(f"{e} crosses {c}")
+        for i in given:
+            for j in grid._crossings[i]:
+                if mult[j]:
+                    raise CrossingViolation(f"{grid.all_edges[i]} crosses {grid.all_edges[j]}")
+        self.grid = grid
+        self._mult = tuple(mult)
+        self._res = tuple(res)
 
     @classmethod
     def empty(cls, grid: NumberedGrid) -> "PuzzleState":
-        return cls(grid, None, _trusted=True)
+        return cls(grid)
 
     def multiplicity(self, e: EdgeKey) -> int:
-        return self._mult.get(e, 0)
+        i = self.grid._edge_id(e)
+        return 0 if i is None else self._mult[i]
 
     def degree(self, p: Node) -> int:
-        return self._deg.get(p.coord, 0)
+        return p.magnitude - self.residual(p)
 
     def residual(self, p: Node) -> int:
-        return p.magnitude - self.degree(p)
+        return self._res[self.grid._index[p.coord]]
 
     def completed(self, p: Node) -> bool:
         return self.residual(p) == 0
 
     def connections(self) -> dict[EdgeKey, int]:
         """The positive-multiplicity edges, in canonical order."""
-        return {e: self._mult[e] for e in sorted(self._mult, key=lambda e: (e.a, e.b))}
+        edges = self.grid.all_edges
+        return {edges[i]: m for i, m in enumerate(self._mult) if m}
 
     def sorted_items(self) -> tuple[tuple[EdgeKey, int], ...]:
         return tuple(self.connections().items())
 
     def total_multiplicity(self) -> int:
-        return sum(self._mult.values())
+        return sum(self._mult)
 
     def add_connections(self, e: EdgeKey, m: int) -> "PuzzleState":
         """Return a new state with m extra connections on e.
@@ -340,25 +359,29 @@ class PuzzleState:
         """
         if m < 1:
             raise ValueError(f"must add at least one connection, got {m}")
-        if e not in self.grid.edge_set:
+        grid = self.grid
+        i = grid._edge_id(e)
+        if i is None:
             raise InvalidConnectionError(f"{e} does not join neighboring nodes")
-        cur = self._mult.get(e, 0)
-        if cur + m > self.grid.k:
-            raise CapacityExceeded(f"{cur} + {m} connections on {e} exceeds k={self.grid.k}")
-        for c in (e.a, e.b):
-            n = self.grid.node_at(c)
-            assert n is not None
-            if self.residual(n) < m:
+        cur = self._mult[i]
+        if cur + m > grid.k:
+            raise CapacityExceeded(f"{cur} + {m} connections on {e} exceeds k={grid.k}")
+        for a in grid._ends[i]:
+            if self._res[a] < m:
                 raise ResidualExceeded(
-                    f"node at {c} has residual {self.residual(n)}, cannot take {m} more"
+                    f"node at {grid.nodes[a].coord} has residual {self._res[a]}, cannot take {m} more"
                 )
         if cur == 0:
-            for other in self.grid.crossing_conflicts[e]:
-                if other in self._mult:
-                    raise CrossingViolation(f"{e} crosses {other}")
-        new = dict(self._mult)
-        new[e] = cur + m
-        return PuzzleState(self.grid, new, _trusted=True)
+            for j in grid._crossings[i]:
+                if self._mult[j]:
+                    raise CrossingViolation(f"{e} crosses {grid.all_edges[j]}")
+        mult, res = list(self._mult), list(self._res)
+        mult[i] += m
+        for a in grid._ends[i]:
+            res[a] -= m
+        new = object.__new__(PuzzleState)
+        new.grid, new._mult, new._res = grid, tuple(mult), tuple(res)
+        return new
 
     def remaining_capacity(self, p: Node) -> dict[Direction, int]:
         """Connections still addable from p in each direction.
@@ -367,22 +390,25 @@ class PuzzleState:
         neighbor residual); it is 0 when the neighbor is missing or when a
         fresh edge there would cross an existing connection.
         """
-        caps = {}
-        for d in Direction:
-            q = self.grid.neighbor(p, d)
-            if q is None:
-                caps[d] = 0
-                continue
-            e = EdgeKey.between(p.coord, q.coord)
-            cap = min(self.grid.k - self.multiplicity(e), self.residual(q))
-            if cap > 0 and e not in self._mult:
-                if any(c in self._mult for c in self.grid.crossing_conflicts[e]):
+        return dict(zip(Direction, self._capacity(self.grid._index[p.coord])))
+
+    def _capacity(self, i: int) -> tuple[int, ...]:
+        """remaining_capacity of node id i, as counts in Direction order."""
+        grid, mult = self.grid, self._mult
+        caps = []
+        for link in grid._links[i]:
+            cap = 0
+            if link is not None:
+                q, e = link
+                cap = min(grid.k - mult[e], self._res[q])
+                if cap > 0 and not mult[e] and any(mult[c] for c in grid._crossings[e]):
                     cap = 0
-            caps[d] = max(cap, 0)
-        return caps
+            caps.append(cap)
+        return tuple(caps)
 
     def digest(self) -> str:
         """Stable hex digest of the grid and connection map."""
+        import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
         parts = [f"k={self.grid.k}"]
         parts += [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.grid.nodes]
         parts += [
@@ -396,10 +422,10 @@ class PuzzleState:
         return self.grid == other.grid and self._mult == other._mult
 
     def __hash__(self) -> int:
-        return hash((self.grid, self.sorted_items()))
+        return hash((self.grid, self._mult))
 
     def __repr__(self) -> str:
-        return f"PuzzleState({self.grid!r}, edges={len(self._mult)})"
+        return f"PuzzleState({self.grid!r}, edges={len(self._mult) - self._mult.count(0)})"
 
 
 @dataclass(frozen=True)
@@ -413,29 +439,35 @@ class SolvedCheck:
         return self.ok
 
 
-def _components(grid: NumberedGrid, edges: Iterable[EdgeKey]) -> Iterator[set[Coordinate]]:
-    """Connected components of the node set under the given edges.
+def _component_ids(grid: NumberedGrid, mult: Sequence[int]) -> Iterator[list[int]]:
+    """Connected components of the node ids under the edges whose
+    multiplicity in mult (indexed by edge id) is positive.
 
-    Nodes without connections appear as singleton components.
+    Components come in the order of their lowest node id, which is listed
+    first; nodes without connections appear as singleton components.
     """
-    adj: dict[Coordinate, list[Coordinate]] = {n.coord: [] for n in grid.nodes}
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    seen: set[Coordinate] = set()
-    for n in grid.nodes:
-        if n.coord in seen:
+    seen = [False] * len(grid.nodes)
+    for start in range(len(grid.nodes)):
+        if seen[start]:
             continue
-        comp = {n.coord}
-        stack = [n.coord]
-        while stack:
-            c = stack.pop()
-            for other in adj[c]:
-                if other not in comp:
-                    comp.add(other)
-                    stack.append(other)
-        seen |= comp
+        seen[start] = True
+        comp = [start]
+        for c in comp:  # comp grows while it is walked
+            for q, e in filter(None, grid._links[c]):
+                if mult[e] and not seen[q]:
+                    seen[q] = True
+                    comp.append(q)
         yield comp
+
+
+def _components(grid: NumberedGrid, edges: Iterable[EdgeKey]) -> Iterator[set[Coordinate]]:
+    """Connected components of the node set under the given edges, as
+    coordinate sets; see _component_ids."""
+    mult = [0] * len(grid._ends)
+    for e in edges:
+        mult[grid._edge_id(e)] = 1
+    for comp in _component_ids(grid, mult):
+        yield {grid.nodes[i].coord for i in comp}
 
 
 def is_solved(state: PuzzleState) -> SolvedCheck:
@@ -456,10 +488,10 @@ def is_solved(state: PuzzleState) -> SolvedCheck:
             return SolvedCheck(False, f"multiplicity {m} on {e} exceeds k={grid.k}")
     for e, _ in state.sorted_items():
         for c in grid.crossing_conflicts[e]:
-            if state.multiplicity(c) > 0 and (e.a, e.b) < (c.a, c.b):
+            if state.multiplicity(c) > 0 and e < c:
                 return SolvedCheck(False, f"crossing connections {e} and {c}")
-    comp = next(_components(grid, state.connections()))
-    if len(comp) != len(grid.nodes):
-        outside = next(n.coord for n in grid.nodes if n.coord not in comp)
+    components = _component_ids(grid, state._mult)
+    if len(next(components)) != len(grid.nodes):
+        outside = grid.nodes[next(components)[0]].coord
         return SolvedCheck(False, f"disconnected: node at {outside} is unreachable")
     return SolvedCheck(True)

@@ -134,12 +134,12 @@ def parse_solution(text: str) -> tuple[tuple[EdgeKey, int], ...]:
             )
         seen[e] = lineno
         records.append((e, m))
-    return tuple(sorted(records, key=lambda rec: (rec[0].a, rec[0].b)))
+    return tuple(sorted(records))
 
 
 def serialize_solution(records) -> str:
     """Serialize (edge, multiplicity) pairs or a connection map to text."""
-    items = sorted(dict(records).items(), key=lambda rec: (rec[0].a, rec[0].b))
+    items = sorted(dict(records).items())
     lines = [f"conn {e.a.x} {e.a.y} {e.b.x} {e.b.y} {m}" for e, m in items]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -17,7 +17,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, EdgeKey, Node, NumberedGrid
+from .core import Coordinate, Node, NumberedGrid
 from .tau import TauStatus, _stalls_at_start, run_tau
 
 MAX_SWEEP_K = 8
@@ -69,7 +69,7 @@ class SolutionSet:
         return len(self.solutions)
 
 
-# Keeps its own tables and walkers: it is the independent reference for the engine.
+# Keeps its own search and walkers: it is the independent reference for the engine.
 def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
     """Enumerate every connection assignment that solves the grid.
 
@@ -81,28 +81,18 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     edges = grid.all_edges
+    ends, links, conflicts = grid._ends, grid._links, grid._crossings
     k = grid.k
     n_nodes = len(grid.nodes)
-    magnitude = {n.coord: n.magnitude for n in grid.nodes}
-
-    incident: dict[Coordinate, list[int]] = {n.coord: [] for n in grid.nodes}
-    for i, e in enumerate(edges):
-        incident[e.a].append(i)
-        incident[e.b].append(i)
-
-    edge_index = {e: i for i, e in enumerate(edges)}
-    conflicts = {
-        i: tuple(edge_index[c] for c in grid.crossing_conflicts[e]) for i, e in enumerate(edges)
-    }
-
-    degree = {c: 0 for c in magnitude}
+    magnitude = [n.magnitude for n in grid.nodes]
+    degree = [0] * n_nodes
     # Per node: k * (number of incident edges not yet assigned); an upper
     # bound on connections the node can still receive.
-    headroom = {c: k * len(incident[c]) for c in magnitude}
+    headroom = [k * (4 - node_links.count(None)) for node_links in links]
     values = [0] * len(edges)
     found: list[dict] = []
 
-    def sealed_off(start: Coordinate) -> bool:
+    def sealed_off(start: int) -> bool:
         """True when start's positive-edge component is fully completed but
         does not span the grid."""
         comp = {start}
@@ -111,28 +101,11 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
             c = stack.pop()
             if degree[c] != magnitude[c]:
                 return False
-            for i in incident[c]:
-                if values[i] > 0:
-                    e = edges[i]
-                    other = e.b if e.a == c else e.a
-                    if other not in comp:
-                        comp.add(other)
-                        stack.append(other)
+            for q, e in filter(None, links[c]):
+                if values[e] > 0 and q not in comp:
+                    comp.add(q)
+                    stack.append(q)
         return len(comp) < n_nodes
-
-    def connected() -> bool:
-        comp = {grid.nodes[0].coord}
-        stack = [grid.nodes[0].coord]
-        while stack:
-            c = stack.pop()
-            for i in incident[c]:
-                if values[i] > 0:
-                    e = edges[i]
-                    other = e.b if e.a == c else e.a
-                    if other not in comp:
-                        comp.add(other)
-                        stack.append(other)
-        return len(comp) == n_nodes
 
     # Depth-first search with an explicit cursor: i is the edge being
     # assigned, and cursor[i] the next multiplicity to try on it; edges past
@@ -142,43 +115,42 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     i = 0
     while i >= 0:
         if i == len(edges):
-            if all(degree[c] == magnitude[c] for c in magnitude) and connected():
+            # Every node is completed here, so sealed_off(0) is "not connected".
+            if degree == magnitude and not sealed_off(0):
                 found.append({edges[j]: values[j] for j in range(len(edges)) if values[j] > 0})
                 if limit is not None and len(found) >= limit:
                     break
             i -= 1
             continue
-        e = edges[i]
+        a, b = ends[i]
         if cursor[i] == 0:
-            headroom[e.a] -= k
-            headroom[e.b] -= k
+            headroom[a] -= k
+            headroom[b] -= k
         else:  # back from the subtree below: withdraw the value it assumed
-            degree[e.a] -= values[i]
-            degree[e.b] -= values[i]
+            degree[a] -= values[i]
+            degree[b] -= values[i]
+        # A value above either endpoint's remaining magnitude overshoots it,
+        # so the loop stops there rather than at k.
         blocked = any(values[j] > 0 for j in conflicts[i] if j < i)
-        for v in range(cursor[i], 1 if blocked else k + 1):
+        top = 0 if blocked else min(k, magnitude[a] - degree[a], magnitude[b] - degree[b])
+        for v in range(cursor[i], top + 1):
             values[i] = v
-            degree[e.a] += v
-            degree[e.b] += v
-            ok = (
-                degree[e.a] <= magnitude[e.a]
-                and degree[e.b] <= magnitude[e.b]
-                and magnitude[e.a] - degree[e.a] <= headroom[e.a]
-                and magnitude[e.b] - degree[e.b] <= headroom[e.b]
-            )
+            degree[a] += v
+            degree[b] += v
+            ok = magnitude[a] - degree[a] <= headroom[a] and magnitude[b] - degree[b] <= headroom[b]
             if ok and v > 0:
-                ok = not any(degree[c] == magnitude[c] and sealed_off(c) for c in (e.a, e.b))
+                ok = not any(degree[c] == magnitude[c] and sealed_off(c) for c in (a, b))
             if ok:
                 cursor[i] = v + 1
                 i += 1
                 break
-            degree[e.a] -= v
-            degree[e.b] -= v
+            degree[a] -= v
+            degree[b] -= v
         else:
             values[i] = 0
             cursor[i] = 0
-            headroom[e.a] += k
-            headroom[e.b] += k
+            headroom[a] += k
+            headroom[b] += k
             i -= 1
     return SolutionSet(tuple(found), exhausted=i < 0)
 
@@ -221,33 +193,32 @@ def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list
     return taken
 
 
-def _spanning_multigraph(
-    rng: Random, coords: list[Coordinate], k: int
-) -> Optional[dict[EdgeKey, int]]:
-    """Random connected, non-crossing multigraph over the neighbor pairs.
+def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optional[list[Node]]:
+    """Random connected, non-crossing multigraph over the neighbor pairs,
+    returned as its nodes, each labeled with its degree.
 
     Returns None when a randomized spanning pass dead-ends against the
     crossing constraints.
     """
     probe = NumberedGrid(1, [Node(c, 1) for c in coords])
-    crossing = probe.crossing_conflicts
-    order = list(probe.all_edges)
+    ends, crossing = probe._ends, probe._crossings
+    order = list(range(len(ends)))
     rng.shuffle(order)
 
-    parent = {c: c for c in coords}
+    parent = list(range(len(coords)))
 
-    def find(c: Coordinate) -> Coordinate:
+    def find(c: int) -> int:
         while parent[c] != c:
             parent[c] = parent[parent[c]]
             c = parent[c]
         return c
 
-    chosen: dict[EdgeKey, int] = {}
+    chosen: dict[int, int] = {}
     components = len(coords)
     for e in order:
         if components == 1:
             break
-        ra, rb = find(e.a), find(e.b)
+        ra, rb = find(ends[e][0]), find(ends[e][1])
         if ra == rb:
             continue
         if any(f in chosen for f in crossing[e]):
@@ -266,7 +237,11 @@ def _spanning_multigraph(
                 chosen[e] += rng.randint(1, k - chosen[e])
         elif rng.random() < 0.25 and not any(f in chosen for f in crossing[e]):
             chosen[e] = rng.randint(1, k)
-    return chosen
+    degree = [0] * len(coords)
+    for e, m in chosen.items():
+        for a in ends[e]:
+            degree[a] += m
+    return [Node(n.coord, d) for n, d in zip(probe.nodes, degree)]
 
 
 def generate(spec: GenSpec) -> NumberedGrid:
@@ -292,15 +267,9 @@ def generate(spec: GenSpec) -> NumberedGrid:
     frame_first = rng.random() < 0.5
     for _ in range(_PLACEMENT_ATTEMPTS):
         coords = _place_coords(rng, spec, frame_first=frame_first)
-        graph = _spanning_multigraph(rng, coords, spec.k)
-        if graph is None:
-            continue
-        degree = {c: 0 for c in coords}
-        for e, m in graph.items():
-            degree[e.a] += m
-            degree[e.b] += m
-        nodes = [Node(c, degree[c]) for c in coords]
-        return NumberedGrid(spec.k, nodes)
+        nodes = _spanning_multigraph(rng, coords, spec.k)
+        if nodes is not None:
+            return NumberedGrid(spec.k, nodes)
     raise GenerationFailure(
         f"no connected non-crossing layout found for {spec.width}x{spec.height} "
         f"at density {spec.node_density}"

@@ -95,13 +95,11 @@ def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
 
 def _word_edges(grid: NumberedGrid, p: Node, word: ConfigWord) -> tuple[tuple[EdgeKey, int], ...]:
     out = []
-    for d in Direction:
-        c = word.count(d)
+    for d, link, c in zip(Direction, grid._links[grid._index[p.coord]], word.counts):
         if c > 0:
-            q = grid.neighbor(p, d)
-            if q is None:
+            if link is None:
                 raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
-            out.append((EdgeKey.between(p.coord, q.coord), c))
+            out.append((grid.all_edges[link[1]], c))
     return tuple(out)
 
 
@@ -109,33 +107,29 @@ def _toward(d: Direction, m: int) -> ConfigWord:
     return ConfigWord.from_counts(m if e is d else 0 for e in Direction)
 
 
-# The local rules read p's remaining capacity per direction (caps) and return
-# the word they force at p, or None when they do not fire there.
+# The local rules read node id i and its capacity per direction (caps, in
+# Direction order) and return the word they force at i, or None otherwise.
 
-def _overdrawn(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> bool:
-    """p needs more than its surroundings can still hold: no word exists."""
-    return state.residual(p) > sum(caps.values())
+def _overdrawn(state: PuzzleState, i: int, caps: tuple[int, ...]) -> bool:
+    """Node i needs more than its surroundings can still hold: no word exists."""
+    return state._res[i] > sum(caps)
 
 
-def _saturate(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
-    if state.residual(p) != sum(caps.values()):
+def _saturate(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
+    if state._res[i] != sum(caps):
         return None
-    return ConfigWord.from_counts(caps[d] for d in Direction)
+    return ConfigWord.from_counts(caps)
 
 
-def _single_neighbor(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
-    if state.grid.neighbor_count(p) != 1:
-        return None
-    (d,) = state.grid.neighbors(p)
-    return _toward(d, state.residual(p))
+def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
+    dirs = [d for d, link in zip(Direction, state.grid._links[i]) if link]
+    return _toward(dirs[0], state._res[i]) if len(dirs) == 1 else None
 
 
 # Read after _single_neighbor, which claims the nodes with one neighbor.
-def _one_open_neighbor(state: PuzzleState, p: Node, caps: dict[Direction, int]) -> Optional[ConfigWord]:
-    open_dirs = [d for d, q in state.grid.neighbors(p).items() if state.residual(q) > 0]
-    if len(open_dirs) != 1:
-        return None
-    return _toward(open_dirs[0], state.residual(p))
+def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
+    dirs = [d for d, link in zip(Direction, state.grid._links[i]) if link and state._res[link[0]]]
+    return _toward(dirs[0], state._res[i]) if len(dirs) == 1 else None
 
 
 _LOCAL_RULES = (
@@ -154,39 +148,39 @@ def _next_move(state: PuzzleState):
     order, then R4.
     """
     grid = state.grid
-    incomplete = [n for n in grid.nodes if state.residual(n) > 0]
+    incomplete = [i for i, r in enumerate(state._res) if r > 0]
     if not incomplete:
         check = is_solved(state)
         # All nodes completed by forced moves, yet not a solution: the
         # engine cannot certify unsolvability here, only fail to solve.
         return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
 
-    caps = {n.coord: state.remaining_capacity(n) for n in incomplete}
-    for n in incomplete:
-        if _overdrawn(state, n, caps[n.coord]):
+    caps = {i: state._capacity(i) for i in incomplete}
+    for i in incomplete:
+        if _overdrawn(state, i, caps[i]):
             return TauStatus.UNSOLVABLE, (
-                f"node at {n.coord} needs {state.residual(n)} more connections but only "
-                f"{sum(caps[n.coord].values())} remain available around it"
+                f"node at {grid.nodes[i].coord} needs {state._res[i]} more connections but only "
+                f"{sum(caps[i])} remain available around it"
             )
     for rule, forced in _LOCAL_RULES:
-        for n in incomplete:
-            word = forced(state, n, caps[n.coord])
+        for i in incomplete:
+            word = forced(state, i, caps[i])
             if word is not None:
-                return n, rule, word
+                return grid.nodes[i], rule, word
 
     candidates = []
-    for n in incomplete:
-        w = omega_star(state, n)
+    for i in incomplete:  # row-major, so i breaks ties by (y, x)
+        w = omega_star(state, grid.nodes[i])
         if w is None:
-            return TauStatus.UNSOLVABLE, f"node at {n.coord} has no feasible configuration left"
+            return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
         if not w.is_zero:
-            r = grid.neighbor_count(n)
-            peak_distance = abs(state.residual(n) - (r * grid.k) // 2)
-            candidates.append(((r, -peak_distance, n.coord.y, n.coord.x), n, w))
+            r = 4 - grid._links[i].count(None)
+            peak_distance = abs(state._res[i] - (r * grid.k) // 2)
+            candidates.append((r, -peak_distance, i, w))
     if not candidates:
         return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
-    _, n, w = min(candidates, key=lambda t: t[0])
-    return n, TauRule.R4_OMEGA_STAR, w
+    _, _, i, w = min(candidates)
+    return grid.nodes[i], TauRule.R4_OMEGA_STAR, w
 
 
 def run_tau(grid: NumberedGrid) -> TauOutcome:
@@ -232,10 +226,10 @@ def _stalls_at_start(grid: NumberedGrid) -> bool:
     if screen(grid).unsolvable:
         return False
     state = PuzzleState.empty(grid)
-    for n in grid.nodes:
-        caps = state.remaining_capacity(n)
-        if _overdrawn(state, n, caps) or any(
-            forced(state, n, caps) is not None for _, forced in _LOCAL_RULES
+    for i in range(len(grid.nodes)):
+        caps = state._capacity(i)
+        if _overdrawn(state, i, caps) or any(
+            forced(state, i, caps) is not None for _, forced in _LOCAL_RULES
         ):
             return False
     for n in grid.nodes:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Coordinate, Direction, Node, PuzzleState, _components
+from .core import Direction, Node, PuzzleState, _component_ids
 
 
 class NoConfigurationsError(ValueError):
@@ -197,11 +197,10 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     if res > 4 * grid.k:
         return WordSet.empty()
     total = len(grid.nodes)
-    residual = {n.coord: state.residual(n) for n in grid.nodes}
-    near = {n.coord: [q.coord for q in grid.neighbors(n).values()] for n in grid.nodes}
-    label: dict[Coordinate, int] = {}
+    residual, links = state._res, grid._links
+    label: dict[int, int] = {}
     sums, sizes = [], []
-    for comp in _components(grid, state.connections()):
+    for comp in _component_ids(grid, state._mult):
         comp_sum = sum(residual[c] for c in comp)
         if comp_sum == 0 and len(comp) < total:
             return WordSet.empty()
@@ -209,27 +208,29 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
         sums.append(comp_sum)
         sizes.append(len(comp))
 
-    def starved(c: Coordinate, after: dict[Coordinate, int]) -> bool:
-        """c is incomplete and its neighbors are not, with after's residuals."""
-        return after.get(c, residual[c]) > 0 and all(after.get(q, residual[q]) == 0 for q in near[c])
+    def starved(c: int, after: dict[int, int]) -> bool:
+        """Node c is incomplete and its neighbors are not, with after's residuals."""
+        return after.get(c, residual[c]) > 0 and all(
+            after.get(q, residual[q]) == 0 for q, _ in filter(None, links[c])
+        )
 
-    if any(starved(c, {}) for c in near):
+    if any(starved(c, {}) for c in range(total)):
         return WordSet.empty()
-    caps = state.remaining_capacity(p)
-    targets = grid.neighbors(p)
+    i = grid._index[p.coord]
+    caps = state._capacity(i)
     survivors = []
     for word in enumerate_phi_k(res, grid.k):
-        if any(word.count(d) > caps[d] for d in Direction):
+        if any(m > cap for m, cap in zip(word.counts, caps)):
             continue
-        after = {p.coord: 0}
-        for d, m in zip(Direction, word.counts):
+        after = {i: 0}
+        for link, m in zip(links[i], word.counts):
             if m:
-                q = targets[d].coord
-                after[q] = residual[q] - m
+                after[link[0]] = residual[link[0]] - m
         merged = {label[c] for c in after}
-        if sum(sums[i] for i in merged) == 2 * res and sum(sizes[i] for i in merged) < total:
+        if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
             continue
-        if any(starved(q, after) for c, left in after.items() if not left for q in near[c]):
+        completed = [c for c, left in after.items() if not left]
+        if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
             continue
         survivors.append(word)
     return WordSet(tuple(survivors))

@@ -62,6 +62,13 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "min-k", odd, "--k-max", 4)
         assert code == 3
 
+    def test_limit_below_one_is_a_usage_error(self, capsys):
+        # Rejected before the engine runs, which would solve this puzzle.
+        code, out, err = run_cli(capsys, "solve", FIXTURES / "pair.puzzle", "--limit", 0)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--limit" in err
+
     def test_enumerate_unsolvable_exits_two(self, capsys, tmp_path):
         p = tmp_path / "dead.puzzle"
         p.write_text("k 1\nnode 0 0 2\nnode 1 0 2\n")

@@ -1,5 +1,7 @@
 """Grid model, neighbor resolution, crossing geometry, and the verifier."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,16 @@ from gridlink import (
     CrossingViolation,
     Direction,
     EdgeKey,
+    GenerationFailure,
+    GenMode,
+    GenSpec,
+    GridError,
     InvalidConnectionError,
     Node,
     NumberedGrid,
     PuzzleState,
     ResidualExceeded,
+    generate,
     is_solved,
     node,
     segments_cross,
@@ -200,6 +207,53 @@ class TestDegreeAndState:
         s1 = s0.add_connections(edge(0, 0, 1, 0), 1)
         assert s0.digest() == PuzzleState.empty(self.grid()).digest()
         assert s0.digest() != s1.digest()
+
+
+def random_states(rng, count):
+    """States reached from the empty one by random add_connections calls on
+    generated 2x2-6x6 grids (k 1-3, both modes); rejected additions are
+    skipped."""
+    for seed in range(count):
+        spec = GenSpec(
+            seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
+            node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
+        )
+        try:
+            g = generate(spec)
+        except GenerationFailure:
+            continue
+        state = PuzzleState.empty(g)
+        yield state
+        for _ in range(rng.randint(1, 12)):
+            try:
+                state = state.add_connections(rng.choice(g.all_edges), rng.randint(1, g.k))
+            except GridError:
+                continue
+            yield state
+
+
+class TestStateBookkeeping:
+    def test_added_connections_match_construction_from_scratch(self):
+        checked = 0
+        for s in random_states(random.Random(7), 100):
+            g = s.grid
+            conns = s.connections()
+            assert PuzzleState(g, conns) == s
+            for n in g.nodes:
+                assert s.degree(n) == sum(m for e, m in conns.items() if n.coord in (e.a, e.b))
+                expected = {}
+                for d in Direction:
+                    q = g.neighbors(n).get(d)
+                    if q is None:
+                        expected[d] = 0
+                        continue
+                    e = EdgeKey.between(n.coord, q.coord)
+                    cap = min(g.k - s.multiplicity(e), s.residual(q))
+                    crossed = any(s.multiplicity(c) > 0 for c in g.crossing_conflicts[e])
+                    expected[d] = 0 if s.multiplicity(e) == 0 and crossed else cap
+                assert s.remaining_capacity(n) == expected
+            checked += 1
+        assert checked > 400
 
 
 class TestIsSolved:

@@ -2,6 +2,9 @@
 
 import hashlib
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,22 @@ class TestEnumerateSolutions:
         sols = enumerate_solutions(g)
         assert sols.exhausted and len(sols) == 1
         assert sols.solutions[0] == {e: 1 for e in g.all_edges}
+
+    def test_huge_k_is_bounded_by_the_magnitudes(self, tmp_path):
+        # No multiplicity above an endpoint's remaining magnitude is tried,
+        # so k far beyond the magnitudes costs nothing.
+        p = tmp_path / "pair.puzzle"
+        p.write_text("k 1000000000\nnode 0 0 1\nnode 1 0 1\n")
+        r = subprocess.run(
+            [sys.executable, "-m", "gridlink", "enumerate", str(p), "--limit", "2"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=Path(__file__).resolve().parent.parent,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
+        assert r.returncode == 0
+        assert r.stdout == "# solutions 1 exhausted true\n# solution 1\nconn 0 0 1 0 1\n"
 
     def test_corpus_output_is_pinned(self, corpus, corpus_solutions):
         digest = hashlib.sha256()
