@@ -23,6 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import compress
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -282,6 +284,33 @@ class NumberedGrid:
     def total_magnitude(self) -> int:
         return sum(n.magnitude for n in self.nodes)
 
+    @cached_property
+    def _digest_prefix(self):
+        """sha256 object fed the grid's part of every state digest, which
+        PuzzleState.digest copies."""
+        import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
+        parts = [f"k={self.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.nodes]
+        return hashlib.sha256(";".join(parts).encode("ascii"))
+
+    @cached_property
+    def _digest_entries(self) -> "_DigestEntries":
+        return _DigestEntries(self.all_edges)
+
+
+class _DigestEntries(dict):
+    """A grid's digest entries ";e:ax,ay,bx,by,m": for each multiplicity m
+    asked for, a tuple of them by edge id, built on first use."""
+
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[EdgeKey, ...]) -> None:
+        super().__init__()
+        self.edges = edges
+
+    def __missing__(self, m: int) -> tuple[str, ...]:
+        entries = self[m] = tuple([f";e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}" for e in self.edges])
+        return entries
+
 
 class PuzzleState:
     """A grid plus an immutable connection multiset.
@@ -375,12 +404,16 @@ class PuzzleState:
             for j in grid._crossings[i]:
                 if self._mult[j]:
                     raise CrossingViolation(f"{e} crosses {grid.all_edges[j]}")
+        return self._add(i, m)
+
+    def _add(self, i: int, m: int) -> "PuzzleState":
+        """A new state with m extra connections on edge id i, unchecked."""
         mult, res = list(self._mult), list(self._res)
         mult[i] += m
-        for a in grid._ends[i]:
+        for a in self.grid._ends[i]:
             res[a] -= m
         new = object.__new__(PuzzleState)
-        new.grid, new._mult, new._res = grid, tuple(mult), tuple(res)
+        new.grid, new._mult, new._res = self.grid, tuple(mult), tuple(res)
         return new
 
     def remaining_capacity(self, p: Node) -> dict[Direction, int]:
@@ -407,14 +440,16 @@ class PuzzleState:
         return tuple(caps)
 
     def digest(self) -> str:
-        """Stable hex digest of the grid and connection map."""
-        import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
-        parts = [f"k={self.grid.k}"]
-        parts += [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.grid.nodes]
-        parts += [
-            f"e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}" for e, m in self.sorted_items()
-        ]
-        return hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()[:16]
+        """Stable hex digest of the grid and connection map: the first 16 hex
+        digits of the sha256 of "k=K", then ";n:x,y,magnitude" per node in
+        row-major order, then ";e:ax,ay,bx,by,m" per connected edge in
+        canonical order, in ASCII."""
+        grid = self.grid
+        h = grid._digest_prefix.copy()
+        mult = self._mult
+        by_mult = map(grid._digest_entries.__getitem__, filter(None, mult))
+        h.update("".join(map(getitem, by_mult, compress(range(len(mult)), mult))).encode("ascii"))
+        return h.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuzzleState):
@@ -471,25 +506,19 @@ def _components(grid: NumberedGrid, edges: Iterable[EdgeKey]) -> Iterator[set[Co
 
 
 def is_solved(state: PuzzleState) -> SolvedCheck:
-    """Check the four solved-grid clauses, reporting the first failure.
+    """Check the solved-grid clauses, reporting the first failure.
 
     Solved means: every node completed, every multiplicity within k, no two
-    connections cross, and the connection multigraph spans all nodes.
+    connections cross, and the connection multigraph spans all nodes. Every
+    PuzzleState already keeps multiplicities within k and connections
+    uncrossed, so only completion and connectivity are checked here.
     """
     grid = state.grid
-    for n in grid.nodes:
-        d = state.degree(n)
-        if d != n.magnitude:
+    for n, r in zip(grid.nodes, state._res):
+        if r:
             return SolvedCheck(
-                False, f"incomplete node at {n.coord}: degree {d} != magnitude {n.magnitude}"
+                False, f"incomplete node at {n.coord}: degree {n.magnitude - r} != magnitude {n.magnitude}"
             )
-    for e, m in state.sorted_items():
-        if m > grid.k:
-            return SolvedCheck(False, f"multiplicity {m} on {e} exceeds k={grid.k}")
-    for e, _ in state.sorted_items():
-        for c in grid.crossing_conflicts[e]:
-            if state.multiplicity(c) > 0 and e < c:
-                return SolvedCheck(False, f"crossing connections {e} and {c}")
     components = _component_ids(grid, state._mult)
     if len(next(components)) != len(grid.nodes):
         outside = grid.nodes[next(components)[0]].coord

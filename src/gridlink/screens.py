@@ -62,13 +62,14 @@ def screen(grid: NumberedGrid) -> ScreenReport:
             Violation(2, None, f"total magnitude {total} is odd, connections always add 2")
         )
 
-    for p in grid.nodes:
-        nbrs = grid.neighbors(p)
+    nodes = grid.nodes
+    for p, links in zip(nodes, grid._links):
+        nbrs = sorted(q for q, _ in filter(None, links))  # node ids: row-major order
         r = len(nbrs)
         if r == 0:
             violations.append(Violation(1, p.coord, f"node at {p.coord} has no neighbors"))
             continue
-        nbr_sum = sum(q.magnitude for q in nbrs.values())
+        nbr_sum = sum(nodes[q].magnitude for q in nbrs)
         if nbr_sum < p.magnitude:
             violations.append(
                 Violation(
@@ -88,15 +89,15 @@ def screen(grid: NumberedGrid) -> ScreenReport:
         if k > 1:
             j = p.magnitude - (r - 1) * k
             if 2 <= j <= k:
-                for q in sorted(nbrs.values(), key=lambda n: (n.coord.y, n.coord.x)):
-                    if q.magnitude <= j - 1:
+                for q in nbrs:
+                    if nodes[q].magnitude <= j - 1:
                         violations.append(
                             Violation(
                                 6,
                                 p.coord,
                                 f"node at {p.coord} (magnitude {(r - 1)}*{k}+{j}) needs at "
                                 f"least {j} connections with every neighbor, but the one at "
-                                f"{q.coord} can take at most {q.magnitude}",
+                                f"{nodes[q].coord} can take at most {nodes[q].magnitude}",
                             )
                         )
                         break

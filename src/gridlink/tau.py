@@ -13,10 +13,20 @@ in a fixed rule priority:
 
 R1-R3 are local: each reads one node and its remaining capacity, and they
 live in one rule table, _LOCAL_RULES, next to the over-capacity check that
-proves a node dead. The step function _next_move walks that table; run_tau
-loops over it; and the stall search (_stalls_at_start, used by
-oracle.find_stall_witness) walks the same table node by node, so a change
-to a rule reaches both.
+proves a node dead. run_tau loops over the step function of an _Engine,
+which carries its bookkeeping from step to step: each incomplete node's
+capacity, the nodes where the over-capacity check and each rule fire, the
+word test's component context, and each node's omega_star as far as
+computed. The next move is the lowest node id of the first non-empty set,
+in rule order, and R4 reads the kept omega_star words. A step re-examines
+only what it can change: the capacity and rules of the nodes it connects,
+their neighbors and the ends of the edges crossing an edge it opens; and
+it drops the omega_star of those nodes, of the nodes within three links of
+a node it completes, and of the nodes near a component it leaves with a
+small residual sum (_Engine.apply and words._Context.join say why). The
+stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
+the same bookkeeping on the empty state, so a change to a rule reaches
+both.
 
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
@@ -40,7 +50,7 @@ from .core import (
     is_solved,
 )
 from .screens import ScreenReport, screen
-from .words import ConfigWord, omega_star
+from .words import ConfigWord, _Context, _guaranteed
 
 
 class TauRule(Enum):
@@ -103,33 +113,35 @@ def _word_edges(grid: NumberedGrid, p: Node, word: ConfigWord) -> tuple[tuple[Ed
     return tuple(out)
 
 
-def _toward(d: Direction, m: int) -> ConfigWord:
-    return ConfigWord.from_counts(m if e is d else 0 for e in Direction)
+def _toward(slot: int, m: int) -> tuple[int, ...]:
+    counts = [0, 0, 0, 0]
+    counts[slot] = m
+    return tuple(counts)
 
 
 # The local rules read node id i and its capacity per direction (caps, in
-# Direction order) and return the word they force at i, or None otherwise.
+# Direction order) and return the counts of the word they force at i, or
+# None otherwise.
 
 def _overdrawn(state: PuzzleState, i: int, caps: tuple[int, ...]) -> bool:
     """Node i needs more than its surroundings can still hold: no word exists."""
     return state._res[i] > sum(caps)
 
 
-def _saturate(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
-    if state._res[i] != sum(caps):
-        return None
-    return ConfigWord.from_counts(caps)
+def _saturate(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    return caps if state._res[i] == sum(caps) else None
 
 
-def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
-    dirs = [d for d, link in zip(Direction, state.grid._links[i]) if link]
-    return _toward(dirs[0], state._res[i]) if len(dirs) == 1 else None
+def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    slots = [s for s, link in enumerate(state.grid._links[i]) if link]
+    return _toward(slots[0], state._res[i]) if len(slots) == 1 else None
 
 
 # Read after _single_neighbor, which claims the nodes with one neighbor.
-def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[ConfigWord]:
-    dirs = [d for d, link in zip(Direction, state.grid._links[i]) if link and state._res[link[0]]]
-    return _toward(dirs[0], state._res[i]) if len(dirs) == 1 else None
+def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    res = state._res
+    slots = [s for s, link in enumerate(state.grid._links[i]) if link and res[link[0]]]
+    return _toward(slots[0], res[i]) if len(slots) == 1 else None
 
 
 _LOCAL_RULES = (
@@ -139,56 +151,143 @@ _LOCAL_RULES = (
 )
 
 
-def _next_move(state: PuzzleState):
-    """The engine's next step as (node, rule, word), or its verdict as
-    (status, reason).
+class _Engine:
+    """The engine's bookkeeping for its current state, carried across steps.
 
-    The over-capacity check runs over every incomplete node first, then each
-    local rule in table order across the incomplete nodes in row-major
-    order, then R4.
+    caps holds each node id's capacity per direction (None once the node is
+    completed); over the nodes where the over-capacity check fires; forced,
+    per local rule, the word counts the rule forces at each node where it
+    fires; ctx the word test's context, built when R4 first needs it; and
+    guaranteed each node's omega_star counts (None for no feasible word),
+    as far as computed since then.
     """
-    grid = state.grid
-    incomplete = [i for i, r in enumerate(state._res) if r > 0]
-    if not incomplete:
-        check = is_solved(state)
-        # All nodes completed by forced moves, yet not a solution: the
-        # engine cannot certify unsolvability here, only fail to solve.
-        return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
 
-    caps = {i: state._capacity(i) for i in incomplete}
-    for i in incomplete:
-        if _overdrawn(state, i, caps[i]):
+    def __init__(self, state: PuzzleState) -> None:
+        self.state = state
+        self.caps: list[Optional[tuple[int, ...]]] = [None] * len(state._res)
+        self.over: set[int] = set()
+        self.forced: list[dict[int, tuple[int, ...]]] = [{} for _ in _LOCAL_RULES]
+        self.ctx: Optional[_Context] = None
+        self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
+        for i in range(len(state._res)):
+            self._revise(i)
+
+    def _revise(self, i: int) -> None:
+        """Re-evaluate node id i's capacity, over-capacity check and rules."""
+        state = self.state
+        caps = self.caps[i] = state._capacity(i) if state._res[i] else None
+        if caps is not None and _overdrawn(state, i, caps):
+            self.over.add(i)
+        else:
+            self.over.discard(i)
+        for table, (_, forced) in zip(self.forced, _LOCAL_RULES):
+            word = None if caps is None else forced(state, i, caps)
+            if word is None:
+                table.pop(i, None)
+            else:
+                table[i] = word
+
+    def next_move(self):
+        """The next step as (node id, rule, word counts), or the verdict as
+        (status, reason).
+
+        The lowest node id where the over-capacity check fires proves the
+        state unsolvable; else the lowest node id where the first local rule
+        in table order fires gives the step; else R4 decides.
+        """
+        state, grid = self.state, self.state.grid
+        if self.over:
+            i = min(self.over)
             return TauStatus.UNSOLVABLE, (
                 f"node at {grid.nodes[i].coord} needs {state._res[i]} more connections but only "
-                f"{sum(caps[i])} remain available around it"
+                f"{sum(self.caps[i])} remain available around it"
             )
-    for rule, forced in _LOCAL_RULES:
-        for i in incomplete:
-            word = forced(state, i, caps[i])
-            if word is not None:
-                return grid.nodes[i], rule, word
+        for (rule, _), table in zip(_LOCAL_RULES, self.forced):
+            if table:
+                i = min(table)
+                return i, rule, table[i]
+        if not any(state._res):
+            check = is_solved(state)
+            # All nodes completed by forced moves, yet not a solution: the
+            # engine cannot certify unsolvability here, only fail to solve.
+            return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
+        return self._omega_move()
 
-    candidates = []
-    for i in incomplete:  # row-major, so i breaks ties by (y, x)
-        w = omega_star(state, grid.nodes[i])
-        if w is None:
-            return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
-        if not w.is_zero:
-            r = 4 - grid._links[i].count(None)
-            peak_distance = abs(state._res[i] - (r * grid.k) // 2)
-            candidates.append((r, -peak_distance, i, w))
-    if not candidates:
-        return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
-    _, _, i, w = min(candidates)
-    return grid.nodes[i], TauRule.R4_OMEGA_STAR, w
+    def _omega_move(self):
+        """R4: the omega_star word of the incomplete node with the least
+        (neighbor count, -distance of its residual from floor(r*k/2), id);
+        the first incomplete node without a feasible word proves the state
+        unsolvable."""
+        if self.ctx is None:
+            self.ctx = _Context(self.state)
+        state, grid, ctx = self.state, self.state.grid, self.ctx
+        best = None
+        for i, caps in enumerate(self.caps):
+            if caps is None:
+                continue
+            if i not in self.guaranteed and not ctx.dead:
+                self.guaranteed[i] = _guaranteed(state, ctx, i, caps)
+            w = None if ctx.dead else self.guaranteed[i]
+            if w is None:
+                return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
+            if any(w):
+                r = 4 - grid._links[i].count(None)
+                key = (r, -abs(state._res[i] - (r * grid.k) // 2), i)
+                if best is None or key < best[0]:
+                    best = key, w
+        if best is None:
+            return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
+        return best[0][2], TauRule.R4_OMEGA_STAR, best[1]
+
+    def apply(self, i: int, counts: tuple[int, ...]) -> None:
+        """Apply the word counts at node id i, and re-examine what it changes.
+
+        The residual changes at i and the neighbors the word connects to
+        (touched). Capacity and the local rules read a node's residual, the
+        residuals of its neighbors, and the multiplicities of its edges and
+        of the edges crossing them, so they are re-evaluated at touched
+        nodes, their neighbors, and the ends of the edges crossing an edge
+        the step opened. omega_star is dropped at those nodes; within three
+        links of a node the step completed; and at the nodes ctx.join
+        reports and their neighbors -- all that _feasible reads.
+        """
+        state, links = self.state, self.state.grid._links
+        crossings, ends = state.grid._crossings, state.grid._ends
+        touched, opened = [i], []
+        for link, m in zip(links[i], counts):
+            if m:
+                q, e = link
+                if not state._mult[e]:
+                    opened.append(e)
+                state = state._add(e, m)
+                touched.append(q)
+        self.state = state
+
+        def near(nodes):
+            return {q for c in nodes for q, _ in filter(None, links[c])}
+
+        revise = near(touched).union(touched)
+        for e in opened:
+            for x in crossings[e]:
+                revise.update(ends[x])
+        for c in revise:
+            self._revise(c)
+        ball = {c for c in touched if not state._res[c]}
+        frontier = ball
+        for _ in range(3):
+            frontier = near(frontier) - ball
+            ball |= frontier
+        joined = self.ctx.join(state, touched, 2 * sum(counts)) if self.ctx else []
+        for c in revise.union(ball, joined, near(joined)):
+            self.guaranteed.pop(c, None)
 
 
 def run_tau(grid: NumberedGrid) -> TauOutcome:
     """Run the propagation loop to a fixpoint.
 
     The grid is screened first; a screen violation short-circuits to
-    unsolvable. Afterwards each iteration applies the first move that
-    _next_move finds, preferring R1 over R2 over R3 over R4. The outcome
+    unsolvable. Afterwards each iteration applies the move the engine's
+    next_move finds, preferring R1 over R2 over R3 over R4. The outcome
     status is exactly one of solved, stalled, or unsolvable; a stall means
     every incomplete node's guaranteed word is empty, which the caller can
     re-verify against the final state.
@@ -205,35 +304,37 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             screen_report=report,
         )
 
+    engine = _Engine(state)
     trace: list[TauStep] = []
     while True:
-        move = _next_move(state)
+        move = engine.next_move()
         if isinstance(move[0], TauStatus):
             status, reason = move
-            return TauOutcome(status, state, tuple(trace), reason=reason, screen_report=report)
-        n, rule, word = move
-        state = apply_builder(state, n, word)
-        trace.append(TauStep(n.coord, rule, word, _word_edges(grid, n, word), state.digest()))
+            return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
+        i, rule, counts = move
+        n, word = grid.nodes[i], ConfigWord.from_counts(counts)
+        edges = _word_edges(grid, n, word)
+        engine.apply(i, counts)
+        trace.append(TauStep(n.coord, rule, word, edges, engine.state.digest()))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:
     """True when run_tau stalls on the grid without drawing a connection.
 
-    Walks the engine's rule table node by node on the empty state, so most
-    grids are rejected by a screen or a local rule before any
-    guaranteed-connection word has to be computed.
+    Reads the engine's bookkeeping on the empty state: no over-capacity
+    check or local rule may fire, and every node's omega_star must be the
+    zero word, which is computed node by node until one is not.
     """
     if screen(grid).unsolvable:
         return False
-    state = PuzzleState.empty(grid)
-    for i in range(len(grid.nodes)):
-        caps = state._capacity(i)
-        if _overdrawn(state, i, caps) or any(
-            forced(state, i, caps) is not None for _, forced in _LOCAL_RULES
-        ):
-            return False
-    for n in grid.nodes:
-        w = omega_star(state, n)
-        if w is None or not w.is_zero:
+    engine = _Engine(PuzzleState.empty(grid))
+    if engine.over or any(engine.forced):
+        return False
+    ctx = _Context(engine.state)
+    if ctx.dead:
+        return False
+    for i, caps in enumerate(engine.caps):
+        w = _guaranteed(engine.state, ctx, i, caps)
+        if w is None or any(w):
             return False
     return True

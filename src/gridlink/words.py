@@ -159,11 +159,125 @@ def count_configs(n: int, r: int, k: int) -> int:
     for _ in range(r):
         nxt = [0] * min(len(coeffs) + k, n + 1)
         for i, c in enumerate(coeffs):
-            for j in range(k + 1):
-                if i + j < len(nxt):
-                    nxt[i + j] += c
+            for j in range(min(k, n - i) + 1):  # terms past x^n are dropped
+                nxt[i + j] += c
         coeffs = nxt
     return coeffs[n]
+
+
+class _Context:
+    """What the word test reads of a state besides residuals and capacities.
+
+    label maps each incomplete node id to its component; sums and sizes
+    give each component's residual sum and node count, and members its
+    incomplete node ids (in a context carried by join, possibly with some
+    that completed since). A completed node's label is never read: a word
+    uses only incomplete neighbors. dead is the verdict that rules out every
+    word at once: a completed component does not span the grid, or an
+    incomplete node has only completed neighbors (it is starved). Once true
+    it stays true, as residuals only fall and a completed node takes no
+    connection.
+    """
+
+    __slots__ = ("label", "members", "sums", "sizes", "dead", "bound")
+
+    def __init__(self, state: PuzzleState) -> None:
+        grid, res = state.grid, state._res
+        self.label = [0] * len(res)
+        self.members: dict[int, list[int]] = {}
+        self.sums: dict[int, int] = {}
+        self.sizes: dict[int, int] = {}
+        for j, comp in enumerate(_component_ids(grid, state._mult)):
+            for c in comp:
+                self.label[c] = j
+            self.members[j] = [c for c in comp if res[c]]
+            self.sums[j] = sum(res[c] for c in comp)
+            self.sizes[j] = len(comp)
+        self.dead = any(not s and self.sizes[j] < len(res) for j, s in self.sums.items()) or any(
+            r and all(not res[q] for q, _ in filter(None, links)) for r, links in zip(res, grid._links)
+        )
+        # A word at node id i seals a component only if the residual sums it
+        # merges add up to twice i's residual, which is at most this.
+        self.bound = 2 * max(n.magnitude for n in grid.nodes)
+
+    def join(self, state: PuzzleState, nodes: list[int], spent: int) -> list[int]:
+        """Merge the components of nodes into one, for a step that lowered
+        their residuals by spent in all; state is the state after the step.
+
+        Returns the incomplete node ids of the merged component when its
+        residual sum is at most bound, else none. A word at i seals a
+        component only if the component's sum is at most bound and each of
+        its incomplete nodes is i or a neighbor the word uses. So only at
+        these nodes and their neighbors can the step make a word newly seal.
+        And where a word sealed a part before the step, or would seal with a
+        node of the step left incomplete, i neighbors a node of the step.
+        """
+        label, members, sums, sizes = self.label, self.members, self.sums, self.sizes
+        parts = {label[c] for c in nodes}
+        keep = max(parts, key=lambda j: len(members[j]))
+        for j in parts - {keep}:
+            for c in members[j]:
+                label[c] = keep
+            members[keep] += members.pop(j)
+            sums[keep] += sums.pop(j)
+            sizes[keep] += sizes.pop(j)
+        sums[keep] -= spent
+        members[keep] = [c for c in members[keep] if state._res[c]]
+        # Starved nodes are not looked for: one has no capacity left, so the
+        # engine's over-capacity check reports it before any word test runs.
+        if not sums[keep] and sizes[keep] < len(label):
+            self.dead = True
+        return members[keep] if sums[keep] <= self.bound else []
+
+
+def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The feasible words of node id i, as counts in enumerate_phi_k order,
+    given the state's context (not dead) and i's capacity per direction.
+
+    See enumerate_feasible for the argument. What the test reads, besides
+    caps: the residuals of i and its neighbors; whether each node within
+    three links of i is completed (a completed node's neighbors, and
+    theirs, for starvation); the labels of i and its neighbors; and the
+    sums and sizes of their components.
+    """
+    residual, links = state._res, state.grid._links
+    label, sums, sizes = ctx.label, ctx.sums, ctx.sizes
+    res, total = residual[i], len(residual)
+
+    def starved(c: int, after: dict[int, int]) -> bool:
+        """Node c is incomplete and its neighbors are not, with after's residuals."""
+        return after.get(c, residual[c]) > 0 and all(
+            after.get(q, residual[q]) == 0 for q, _ in filter(None, links[c])
+        )
+
+    # Capacity toward a direction is at most k, so only words within caps
+    # are generated; there are none when res > 4k.
+    c0, c1, c2, c3 = caps
+    survivors = []
+    for t in range(min(res, c0) + 1):
+        for r in range(min(res - t, c1) + 1):
+            for b in range(min(res - t - r, c2) + 1):
+                counts = (t, r, b, res - t - r - b)
+                if counts[3] > c3:
+                    continue
+                after = {i: 0}
+                for link, m in zip(links[i], counts):
+                    if m:
+                        after[link[0]] = residual[link[0]] - m
+                merged = {label[c] for c in after}
+                if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
+                    continue
+                completed = [c for c, left in after.items() if not left]
+                if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
+                    continue
+                survivors.append(counts)
+    return survivors
+
+
+def _guaranteed(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """omega_star of node id i as counts, from _feasible's words."""
+    words = _feasible(state, ctx, i, caps)
+    return tuple(map(min, zip(*words))) if words else None
 
 
 def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
@@ -188,52 +302,19 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     And since no node is starved before the word, the only nodes it can
     starve are the neighbors of the nodes it completes.
 
+    The state-wide part (components, their sums and sizes, and the verdict)
+    is read once per call into a context, and the per-word part reads it;
+    the propagation engine keeps one context across its steps instead.
+
     An empty result is meaningful: the state admits no completion of p.
     """
-    res = state.residual(p)
-    if res < 1:
+    if state.residual(p) < 1:
         raise ValueError(f"node at {p.coord} is already complete")
-    grid = state.grid
-    if res > 4 * grid.k:
+    ctx = _Context(state)
+    if ctx.dead:
         return WordSet.empty()
-    total = len(grid.nodes)
-    residual, links = state._res, grid._links
-    label: dict[int, int] = {}
-    sums, sizes = [], []
-    for comp in _component_ids(grid, state._mult):
-        comp_sum = sum(residual[c] for c in comp)
-        if comp_sum == 0 and len(comp) < total:
-            return WordSet.empty()
-        label.update(dict.fromkeys(comp, len(sums)))
-        sums.append(comp_sum)
-        sizes.append(len(comp))
-
-    def starved(c: int, after: dict[int, int]) -> bool:
-        """Node c is incomplete and its neighbors are not, with after's residuals."""
-        return after.get(c, residual[c]) > 0 and all(
-            after.get(q, residual[q]) == 0 for q, _ in filter(None, links[c])
-        )
-
-    if any(starved(c, {}) for c in range(total)):
-        return WordSet.empty()
-    i = grid._index[p.coord]
-    caps = state._capacity(i)
-    survivors = []
-    for word in enumerate_phi_k(res, grid.k):
-        if any(m > cap for m, cap in zip(word.counts, caps)):
-            continue
-        after = {i: 0}
-        for link, m in zip(links[i], word.counts):
-            if m:
-                after[link[0]] = residual[link[0]] - m
-        merged = {label[c] for c in after}
-        if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
-            continue
-        completed = [c for c, left in after.items() if not left]
-        if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
-            continue
-        survivors.append(word)
-    return WordSet(tuple(survivors))
+    i = state.grid._index[p.coord]
+    return WordSet(tuple([ConfigWord(*w) for w in _feasible(state, ctx, i, state._capacity(i))]))
 
 
 def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
@@ -247,7 +328,4 @@ def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
     feasible = enumerate_feasible(state, p)
     if not len(feasible):
         return None
-    result = None
-    for w in feasible:
-        result = w if result is None else word_meet(result, w)
-    return result
+    return ConfigWord.from_counts(map(min, zip(*(w.counts for w in feasible))))

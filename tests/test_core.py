@@ -1,5 +1,6 @@
 """Grid model, neighbor resolution, crossing geometry, and the verifier."""
 
+import hashlib
 import random
 
 import pytest
@@ -255,6 +256,19 @@ class TestStateBookkeeping:
             checked += 1
         assert checked > 400
 
+
+
+class TestDigest:
+    def test_digest_hashes_the_documented_string(self):
+        checked = empty = 0
+        for s in random_states(random.Random(11), 80):
+            g = s.grid
+            parts = [f"k={g.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in g.nodes]
+            parts += [f"e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}" for e, m in sorted(s.connections().items())]
+            assert s.digest() == hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()[:16]
+            checked += 1
+            empty += not s.connections()
+        assert checked > 300 and empty > 50
 
 class TestIsSolved:
     def test_single_pair_solved(self):

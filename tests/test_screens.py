@@ -1,6 +1,19 @@
 """Syntactic unsolvability screens."""
 
-from gridlink import NumberedGrid, ScreenVerdict, enumerate_solutions, node, screen
+import hashlib
+import random
+
+from gridlink import (
+    GenerationFailure,
+    GenMode,
+    GenSpec,
+    NumberedGrid,
+    ScreenVerdict,
+    enumerate_solutions,
+    generate,
+    node,
+    screen,
+)
 
 
 def conditions(report):
@@ -99,3 +112,34 @@ class TestScreenSoundnessAndIncompleteness:
         assert r1 == r2
         conds = [v.condition for v in r1.violations]
         assert conds == sorted(conds, key=lambda c: 0 if c == 2 else 1) or conds[0] == 2
+
+
+# sha256 over the screen reports of 220 generated grids, recorded while
+# screen still built a neighbor dict per node: reading the link table must
+# not change a violation, its order or its message.
+SCREEN_CORPUS_DIGEST = "38444f6890b241a89da20716c485b2905a2b87ff6c166a149c6a4d763e631a5d"
+
+
+def test_reports_on_generated_grids_are_pinned():
+    digest = hashlib.sha256()
+    seen, modes, count = set(), set(), 0
+    rng = random.Random(5)
+    for seed in range(220):
+        spec = GenSpec(
+            seed=seed, width=rng.randint(2, 7), height=rng.randint(2, 7),
+            node_density=rng.uniform(0.3, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
+        )
+        try:
+            g = generate(spec)
+        except GenerationFailure:
+            continue
+        report = screen(g)
+        violations = [(v.condition, str(v.witness), v.message) for v in report.violations]
+        digest.update(repr((report.verdict.value, violations)).encode("ascii"))
+        seen.update(v.condition for v in report.violations)
+        modes.add(spec.mode)
+        count += 1
+    assert count >= 200
+    assert seen == {1, 2, 3, 5, 6}
+    assert modes == set(GenMode)
+    assert digest.hexdigest() == SCREEN_CORPUS_DIGEST

@@ -1,6 +1,7 @@
 """Propagation engine: builder arithmetic, rule selection, outcomes."""
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ from gridlink import (
     parse_puzzle,
     run_tau,
 )
-from gridlink.tau import _stalls_at_start
+from gridlink.tau import _LOCAL_RULES, _Engine, _overdrawn, _stalls_at_start
+from gridlink.words import _Context
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -226,3 +228,149 @@ class TestEngineCorpus:
         assert reasons == set(ENGINE_REASONS)
         assert rules == set(TauRule)
         assert digest.hexdigest() == ENGINE_CORPUS_DIGEST
+
+
+def reference_move(state):
+    """The engine's step function as it was before it carried bookkeeping
+    from step to step: every incomplete node's capacity, rules and
+    omega_star recomputed from the state. Returns (node id, rule, word
+    counts) or (status, reason), like _Engine.next_move."""
+    grid = state.grid
+    incomplete = [i for i, r in enumerate(state._res) if r > 0]
+    if not incomplete:
+        check = is_solved(state)
+        return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
+    caps = {i: state._capacity(i) for i in incomplete}
+    for i in incomplete:
+        if _overdrawn(state, i, caps[i]):
+            return TauStatus.UNSOLVABLE, (
+                f"node at {grid.nodes[i].coord} needs {state._res[i]} more connections but only "
+                f"{sum(caps[i])} remain available around it"
+            )
+    for rule, forced in _LOCAL_RULES:
+        for i in incomplete:
+            word = forced(state, i, caps[i])
+            if word is not None:
+                return i, rule, word
+    candidates = []
+    for i in incomplete:
+        w = omega_star(state, grid.nodes[i])
+        if w is None:
+            return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
+        if not w.is_zero:
+            r = 4 - grid._links[i].count(None)
+            candidates.append((r, -abs(state._res[i] - (r * grid.k) // 2), i, w.counts))
+    if not candidates:
+        return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
+    _, _, i, counts = min(candidates)
+    return i, TauRule.R4_OMEGA_STAR, counts
+
+
+# Generated grids up to 8x8, k 1-3, both modes.
+EQUIVALENCE_CORPUS = [
+    (3, 3, 0.9, 1, GenMode.RANDOM, range(150, 175)),
+    (4, 4, 0.75, 2, GenMode.RANDOM, range(25)),
+    (5, 5, 0.6, 3, GenMode.RANDOM, range(15)),
+    (4, 4, 0.65, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (5, 4, 0.7, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (6, 6, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (8, 8, 0.5, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(4)),
+    (8, 8, 0.45, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(3)),
+    # A step far from a node completes the last of its component but it.
+    (7, 7, 0.3, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, [12]),
+]
+
+# Constructive grids small enough for the oracle to find a solution fast.
+RANDOM_WALK_CORPUS = [
+    (5, 5, 0.7, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (6, 6, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (6, 6, 0.6, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (8, 8, 0.4, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+    (8, 8, 0.5, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10)),
+]
+
+# The first step seals the pair off; the square then needs R4.
+SEALED_PAIR = NumberedGrid(2, [
+    node(0, 0, 1), node(1, 0, 1), node(5, 5, 2), node(6, 5, 2), node(5, 6, 2), node(6, 6, 2),
+])
+
+
+class TestIncrementalEngine:
+    def test_every_step_matches_the_from_scratch_reference(self):
+        statuses, rules, reasons = set(), set(), set()
+        crossed = memo_checks = 0
+        for g in generated(EQUIVALENCE_CORPUS) + [SEALED_PAIR]:
+            engine = _Engine(PuzzleState.empty(g))
+            while True:
+                move = engine.next_move()
+                state = engine.state
+                assert move == reference_move(state), (g.nodes, state.connections())
+                fresh = _Context(state)
+                # The engine's context, built at the first R4 step, leaves
+                # starved nodes to the over-capacity check.
+                assert engine.ctx is None or engine.ctx.dead == fresh.dead or engine.over
+                if not fresh.dead:
+                    for i, w in engine.guaranteed.items():
+                        expected = omega_star(state, g.nodes[i])
+                        assert w == (None if expected is None else expected.counts)
+                        memo_checks += 1
+                if isinstance(move[0], TauStatus):
+                    statuses.add(move[0])
+                    reasons.update(r for r in ENGINE_REASONS if r in (move[1] or ""))
+                    break
+                rules.add(move[1])
+                engine.apply(move[0], move[2])
+            crossed += any(state._mult[e] for e, cs in enumerate(g._crossings) if cs)
+        assert statuses == set(TauStatus)
+        assert rules == set(TauRule)
+        assert reasons == set(ENGINE_REASONS)
+        assert crossed >= 5
+        assert memo_checks >= 1000
+
+    def test_bookkeeping_survives_random_steps_toward_a_solution(self):
+        # Each step completes a random incomplete node the way one solution
+        # does, in an order the engine's own rules would not take. After
+        # each step the carried tables must equal tables built from scratch,
+        # and every omega_star the engine keeps must equal a fresh one.
+        rng = random.Random(3)
+        steps = memo_checks = 0
+        for g in generated(RANDOM_WALK_CORPUS):
+            solution = enumerate_solutions(g, limit=1).solutions[0]
+            target = [solution.get(e, 0) for e in g.all_edges]
+            engine = _Engine(PuzzleState.empty(g))
+            while True:
+                state = engine.state
+                fresh = _Engine(state)
+                assert (engine.caps, engine.over, engine.forced) == (fresh.caps, fresh.over, fresh.forced)
+                incomplete = [i for i, caps in enumerate(engine.caps) if caps is not None]
+                if not incomplete:
+                    break
+                engine._omega_move()  # fills in the missing omega_star words
+                assert engine.ctx.dead == _Context(state).dead
+                for i, w in engine.guaranteed.items():
+                    expected = omega_star(state, g.nodes[i])
+                    assert w == (None if expected is None else expected.counts), (g.nodes, state.connections(), i)
+                    memo_checks += 1
+                i = rng.choice(incomplete)
+                engine.apply(i, tuple(0 if link is None else target[link[1]] - state._mult[link[1]] for link in g._links[i]))
+                steps += 1
+        assert steps >= 700 and memo_checks >= 10000
+
+    def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
+        # Every interior node of a k=1 chain of magnitude-2 nodes is
+        # saturated, so the engine solves it with 1199 R1 steps. Recomputing
+        # every node's capacity per step made this quadratic.
+        n = 1200
+        g = NumberedGrid(1, [node(i, 0, 1 if i in (0, n - 1) else 2) for i in range(n)])
+        calls = [0]
+        capacity = PuzzleState._capacity
+
+        def counted(state, i):
+            calls[0] += 1
+            return capacity(state, i)
+
+        monkeypatch.setattr(PuzzleState, "_capacity", counted)
+        out = run_tau(g)
+        assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
+        assert calls[0] <= 5 * n

@@ -1,5 +1,6 @@
 """Configuration words: enumeration, counting, feasibility, guaranteed words."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -26,6 +27,7 @@ from gridlink import (
     word_meet,
 )
 from gridlink.core import _components
+from gridlink.words import _Context
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
 PHI_5_2 = {
@@ -124,6 +126,20 @@ class TestCountConfigs:
         else:
             assert peaks == [mid, mid + 1]
 
+    def test_matches_enumeration_and_brute_force(self):
+        for k in range(1, 5):
+            for n in range(0, 4 * k + 2):
+                if 1 <= n <= 4 * k:
+                    assert count_configs(n, 4, k) == len(enumerate_phi_k(n, k))
+                for r in (1, 2, 3, 4):
+                    brute = sum(1 for c in itertools.product(range(k + 1), repeat=r) if sum(c) == n)
+                    assert count_configs(n, r, k) == brute
+
+    def test_huge_bound_counts_only_up_to_the_magnitude(self):
+        # Coefficients past x^n are never needed, so k far above n is cheap.
+        assert count_configs(3, 4, 10**6) == 20
+        assert count_configs(2, 3, 10**9) == 6
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_tail_values(self, k):
         # Reading a row right to left, the first k+1 entries are tetrahedral
@@ -195,6 +211,59 @@ def reachable_states(rng, count):
             if words:
                 state = apply_builder(state, p, rng.choice(words))
                 yield state
+
+
+class TestContext:
+    def test_join_reads_like_a_fresh_context(self):
+        # The engine carries one context across its steps through join.
+        # After any step it must hold the components of a context built
+        # afresh, for the incomplete nodes, and the sealed verdict; the
+        # starved one it leaves to the engine's over-capacity check.
+        rng = Random(9)
+        steps = sealed = reported = 0
+        for seed in range(150):
+            spec = GenSpec(
+                seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
+                node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
+            )
+            try:
+                g = generate(spec)
+            except GenerationFailure:
+                continue
+            state = PuzzleState.empty(g)
+            ctx = _Context(state)
+            if ctx.dead:  # a node without neighbors
+                continue
+            for _ in range(rng.randint(1, 12)):
+                open_nodes = [n for n in g.nodes if state.residual(n) > 0]
+                if not open_nodes:
+                    break
+                p = rng.choice(open_nodes)
+                words = fitting_words(state, p, rng.randint(1, min(state.residual(p), 4 * g.k)))
+                if not words:
+                    continue
+                w = rng.choice(words)
+                i = g._index[p.coord]
+                touched = [i] + [link[0] for link, m in zip(g._links[i], w.counts) if m]
+                state = apply_builder(state, p, w)
+                changed = ctx.join(state, touched, 2 * w.length)
+                fresh = _Context(state)
+                open_ids = [c for c, r in enumerate(state._res) if r]
+                pairs = {(ctx.label[c], fresh.label[c]) for c in open_ids}
+                assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+                for c in open_ids:
+                    assert ctx.sums[ctx.label[c]] == fresh.sums[fresh.label[c]]
+                    assert ctx.sizes[ctx.label[c]] == fresh.sizes[fresh.label[c]]
+                    assert c in ctx.members[ctx.label[c]]
+                j = fresh.label[i]
+                merged = [c for c in open_ids if fresh.label[c] == j]
+                assert sorted(changed) == (merged if fresh.sums[j] <= ctx.bound else [])
+                is_sealed = any(not v and fresh.sizes[x] < len(g.nodes) for x, v in fresh.sums.items())
+                assert ctx.dead == is_sealed
+                steps += 1
+                sealed += is_sealed
+                reported += bool(changed)
+        assert steps >= 500 and sealed >= 50 and reported >= 100
 
 
 class TestEnumerateFeasible:
