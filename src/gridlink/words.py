@@ -130,14 +130,18 @@ def enumerate_phi_k(n: int, k: int) -> WordSet:
         raise ValueError(f"k must be >= 1, got {k}")
     if n > 4 * k:
         raise NoConfigurationsError(f"magnitude {n} exceeds 4k = {4 * k}")
-    out = []
-    for t in range(min(n, k) + 1):
-        for r in range(min(n - t, k) + 1):
-            for b in range(min(n - t - r, k) + 1):
-                l = n - t - r - b
-                if l <= k:
-                    out.append(ConfigWord(t, r, b, l))
-    return WordSet(tuple(out))
+    return WordSet(tuple([ConfigWord(*c) for c in _spread(n, (k, k, k, k))]))
+
+
+def _spread(n: int, caps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+    """Every way to send n connections over the four directions, at most
+    caps[d] toward direction d, as counts in lexicographic order."""
+    c0, c1, c2, c3 = caps
+    for t in range(min(n, c0) + 1):
+        for r in range(min(n - t, c1) + 1):
+            for b in range(min(n - t - r, c2) + 1):
+                if n - t - r - b <= c3:
+                    yield t, r, b, n - t - r - b
 
 
 def count_configs(n: int, r: int, k: int) -> int:
@@ -252,25 +256,19 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
 
     # Capacity toward a direction is at most k, so only words within caps
     # are generated; there are none when res > 4k.
-    c0, c1, c2, c3 = caps
     survivors = []
-    for t in range(min(res, c0) + 1):
-        for r in range(min(res - t, c1) + 1):
-            for b in range(min(res - t - r, c2) + 1):
-                counts = (t, r, b, res - t - r - b)
-                if counts[3] > c3:
-                    continue
-                after = {i: 0}
-                for link, m in zip(links[i], counts):
-                    if m:
-                        after[link[0]] = residual[link[0]] - m
-                merged = {label[c] for c in after}
-                if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
-                    continue
-                completed = [c for c, left in after.items() if not left]
-                if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
-                    continue
-                survivors.append(counts)
+    for counts in _spread(res, caps):
+        after = {i: 0}
+        for link, m in zip(links[i], counts):
+            if m:
+                after[link[0]] = residual[link[0]] - m
+        merged = {label[c] for c in after}
+        if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
+            continue
+        completed = [c for c, left in after.items() if not left]
+        if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
+            continue
+        survivors.append(counts)
     return survivors
 
 
