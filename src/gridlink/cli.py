@@ -1,9 +1,13 @@
 """Command-line surface.
 
-Subcommands: screen, tau, solve, enumerate, verify, count-table, min-k, gen.
+Subcommands: screen, tau, solve, enumerate, verify, count-table, min-k, gen,
+render.
 
-Exit codes: 0 solved/verified/ok, 2 proven unsolvable or claim proven wrong,
-3 stalled/unknown/out of reach, 1 usage or parse errors. The distinction
+Each subcommand builds one report and its text form; `main` prints the
+report under `--json` and the text otherwise, and takes the exit code from
+the report's status through the one table `_EXIT_CODES`: 0 solved/verified/ok,
+2 proven unsolvable or claim proven wrong, 3 stalled/unknown/out of reach.
+Usage and parse errors exit 1 before any report is built. The distinction
 between 2 and 3 matters: the propagation engine failing to finish leaves
 solvability open, while a screen violation or an exhausted search settles it.
 
@@ -19,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import GridError, NumberedGrid, PuzzleState
+from .core import GridError, PuzzleState
 from .formats import (
     ParseError,
     count_table,
@@ -45,6 +49,18 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOLVABLE = 2
 EXIT_UNKNOWN = 3
+
+# The exit code of every report status.
+_EXIT_CODES = {
+    "solved": EXIT_OK,
+    "verified": EXIT_OK,
+    "ok": EXIT_OK,
+    "maybe_solvable": EXIT_OK,
+    "unsolvable": EXIT_UNSOLVABLE,
+    "rejected": EXIT_UNSOLVABLE,
+    "stalled": EXIT_UNKNOWN,
+    "unknown": EXIT_UNKNOWN,
+}
 
 
 class UsageError(Exception):
@@ -101,171 +117,103 @@ def _report(status: str, connections=(), trace=(), violations=(), **extra) -> di
     return report
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
-def _load_puzzle(path: str) -> NumberedGrid:
-    return parse_puzzle(Path(path).read_text(encoding="utf-8"))
+def _cmd_screen(args) -> tuple[dict, str]:
+    report = screen(parse_puzzle(_read(args.puzzle)))
+    text = f"verdict: {report.verdict.value}\n"
+    for v in report.violations:
+        where = "grid" if v.witness is None else str(v.witness)
+        text += f"  condition {v.condition} at {where}: {v.message}\n"
+    return _report(report.verdict.value, violations=_violations_json(report)), text
 
 
-def _cmd_screen(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    report = screen(grid)
-    if args.json:
-        _emit(_report(report.verdict.value, violations=_violations_json(report)))
-    else:
-        print(f"verdict: {report.verdict.value}")
-        for v in report.violations:
-            where = "grid" if v.witness is None else str(v.witness)
-            print(f"  condition {v.condition} at {where}: {v.message}")
-    return EXIT_UNSOLVABLE if report.unsolvable else EXIT_OK
-
-
-def _tau_exit(outcome: TauOutcome) -> int:
-    if outcome.status is TauStatus.SOLVED:
-        return EXIT_OK
-    if outcome.status is TauStatus.UNSOLVABLE:
-        return EXIT_UNSOLVABLE
-    return EXIT_UNKNOWN
-
-
-def _print_tau_text(outcome: TauOutcome, show_trace: bool) -> None:
-    print(f"status: {outcome.status.value}")
+def _cmd_tau(args) -> tuple[dict, str]:
+    outcome = run_tau(parse_puzzle(_read(args.puzzle)))
+    text = f"status: {outcome.status.value}\n"
     if outcome.reason:
-        print(f"reason: {outcome.reason}")
-    if show_trace:
+        text += f"reason: {outcome.reason}\n"
+    if args.trace:
         for i, step in enumerate(outcome.trace, start=1):
             edges = ", ".join(f"{e}x{m}" for e, m in step.edges)
-            print(f"  step {i}: {step.rule.value} at {step.node} word {step.word} -> {edges}")
+            text += f"  step {i}: {step.rule.value} at {step.node} word {step.word} -> {edges}\n"
     if outcome.status is TauStatus.SOLVED:
-        print(serialize_solution(outcome.final_state.connections()), end="")
+        text += serialize_solution(outcome.final_state.connections())
+    report = _report(
+        outcome.status.value,
+        connections=_connections_json(outcome.final_state.sorted_items()),
+        trace=_trace_json(outcome),
+        violations=_violations_json(outcome.screen_report),
+        reason=outcome.reason,
+    )
+    return report, text
 
 
-def _cmd_tau(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    outcome = run_tau(grid)
-    if args.json:
-        _emit(
-            _report(
-                outcome.status.value,
-                connections=_connections_json(outcome.final_state.sorted_items()),
-                trace=_trace_json(outcome),
-                violations=_violations_json(outcome.screen_report),
-                reason=outcome.reason,
-            )
-        )
+def _cmd_solve(args) -> tuple[dict, str]:
+    grid = parse_puzzle(_read(args.puzzle))
+    outcome = None if args.method == "brute" else run_tau(grid)
+    # The engine's verdict stands unless it stalled and brute force may follow.
+    if outcome and (args.method == "tau" or outcome.status is not TauStatus.STALLED):
+        engine, status, trace = "tau", outcome.status.value, _trace_json(outcome)
+        connections = outcome.final_state.sorted_items() if status == "solved" else ()
     else:
-        _print_tau_text(outcome, args.trace)
-    return _tau_exit(outcome)
+        solutions = enumerate_solutions(grid, limit=args.limit).solutions
+        engine, status, trace = "brute", "solved" if solutions else "unsolvable", []
+        connections = tuple(solutions[0].items()) if solutions else ()
+    text = f"# engine {engine}\n# status {status}\n"
+    if connections:
+        text += serialize_solution(dict(connections))
+    report = _report(
+        status,
+        connections=_connections_json(connections),
+        trace=trace,
+        violations=_violations_json(outcome.screen_report if outcome else None),
+        engine=engine,
+    )
+    return report, text
 
 
-def _cmd_solve(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    method = args.method
-    engine = None
-    connections = None
-    status = None
-    outcome = None
-
-    if method in ("tau", "auto"):
-        outcome = run_tau(grid)
-        if outcome.status is TauStatus.SOLVED:
-            engine, status = "tau", "solved"
-            connections = outcome.final_state.sorted_items()
-        elif outcome.status is TauStatus.UNSOLVABLE:
-            engine, status = "tau", "unsolvable"
-        elif method == "tau":
-            engine, status = "tau", "stalled"
-
-    if status is None and method in ("brute", "auto"):
-        sols = enumerate_solutions(grid, limit=args.limit)
-        engine = "brute"
-        if sols.solutions:
-            status = "solved"
-            connections = tuple(sols.solutions[0].items())
-        else:
-            status = "unsolvable"
-
-    if args.json:
-        _emit(
-            _report(
-                status,
-                connections=_connections_json(connections) if connections else [],
-                trace=_trace_json(outcome) if outcome and engine == "tau" else [],
-                violations=_violations_json(outcome.screen_report if outcome else None),
-                engine=engine,
-            )
-        )
-    else:
-        print(f"# engine {engine}")
-        print(f"# status {status}")
-        if connections:
-            print(serialize_solution(dict(connections)), end="")
-    if status == "solved":
-        return EXIT_OK
-    if status == "unsolvable":
-        return EXIT_UNSOLVABLE
-    return EXIT_UNKNOWN
+def _cmd_enumerate(args) -> tuple[dict, str]:
+    sols = enumerate_solutions(parse_puzzle(_read(args.puzzle)), limit=args.limit)
+    found = [_connections_json(s.items()) for s in sols.solutions]
+    text = f"# solutions {len(found)} exhausted {str(sols.exhausted).lower()}\n"
+    for i, s in enumerate(sols.solutions, start=1):
+        text += f"# solution {i}\n" + serialize_solution(s)
+    report = _report(
+        "ok" if found else "unsolvable",
+        connections=found[0] if found else [],
+        solutions=found,
+        count=len(found),
+        exhausted=sols.exhausted,
+    )
+    return report, text
 
 
-def _cmd_enumerate(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    sols = enumerate_solutions(grid, limit=args.limit)
-    if args.json:
-        _emit(
-            _report(
-                "ok" if sols.solutions else "unsolvable",
-                connections=_connections_json(sols.solutions[0].items()) if sols.solutions else [],
-                solutions=[_connections_json(s.items()) for s in sols.solutions],
-                count=len(sols.solutions),
-                exhausted=sols.exhausted,
-            )
-        )
-    else:
-        print(f"# solutions {len(sols.solutions)} exhausted {str(sols.exhausted).lower()}")
-        for i, s in enumerate(sols.solutions, start=1):
-            print(f"# solution {i}")
-            print(serialize_solution(s), end="")
-    return EXIT_OK if sols.solutions else EXIT_UNSOLVABLE
-
-
-def _cmd_verify(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    records = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
+def _cmd_verify(args) -> tuple[dict, str]:
+    grid = parse_puzzle(_read(args.puzzle))
+    records = parse_solution(_read(args.solution))
     check = verify_solution(grid, records)
-    if args.json:
-        _emit(
-            _report(
-                "verified" if check.ok else "rejected",
-                connections=_connections_json(records),
-                reason=check.reason,
-            )
-        )
+    status = "verified" if check.ok else "rejected"
+    text = "verified\n" if check.ok else f"rejected: {check.reason}\n"
+    return _report(status, connections=_connections_json(records), reason=check.reason), text
+
+
+def _cmd_count_table(args) -> tuple[dict, str]:
+    return _report("ok"), count_table(args.neighbors, args.k_max, csv=args.csv)
+
+
+def _cmd_min_k(args) -> tuple[dict, str]:
+    k = min_solvable_k(parse_puzzle(_read(args.puzzle)), args.k_max)
+    if k is None:
+        text = f"not solvable for any k <= {args.k_max}\n"
     else:
-        print("verified" if check.ok else f"rejected: {check.reason}")
-    return EXIT_OK if check.ok else EXIT_UNSOLVABLE
+        text = f"min solvable k: {k}\n"
+    return _report("ok" if k is not None else "unknown", min_k=k, k_max=args.k_max), text
 
 
-def _cmd_count_table(args) -> int:
-    print(count_table(args.neighbors, args.k_max, csv=args.csv), end="")
-    return EXIT_OK
-
-
-def _cmd_min_k(args) -> int:
-    grid = _load_puzzle(args.puzzle)
-    k = min_solvable_k(grid, args.k_max)
-    if args.json:
-        _emit(_report("ok" if k is not None else "unknown", min_k=k, k_max=args.k_max))
-    else:
-        if k is not None:
-            print(f"min solvable k: {k}")
-        else:
-            print(f"not solvable for any k <= {args.k_max}")
-    return EXIT_OK if k is not None else EXIT_UNKNOWN
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, str]:
     spec = GenSpec(
         seed=args.seed,
         width=args.width,
@@ -274,20 +222,16 @@ def _cmd_gen(args) -> int:
         k=args.k,
         mode=GenMode.SOLVABLE_BY_CONSTRUCTION if args.solvable else GenMode.RANDOM,
     )
-    grid = generate(spec)
-    print(serialize_puzzle(grid), end="")
-    return EXIT_OK
+    return _report("ok"), serialize_puzzle(generate(spec))
 
 
-def _cmd_render(args) -> int:
-    grid = _load_puzzle(args.puzzle)
+def _cmd_render(args) -> tuple[dict, str]:
+    grid = parse_puzzle(_read(args.puzzle))
     if args.solution:
-        records = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
-        state = PuzzleState(grid, dict(records))
+        state = PuzzleState(grid, dict(parse_solution(_read(args.solution))))
     else:
         state = PuzzleState.empty(grid)
-    print(render_board(state), end="")
-    return EXIT_OK
+    return _report("ok"), render_board(state)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,13 +299,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "limit", 1) < 1:  # solve and enumerate
             parser.error(f"argument --limit: must be >= 1, got {args.limit}")
-        return args.func(args)
-    except UsageError as exc:
+        report, text = args.func(args)
+        if getattr(args, "json", False):
+            text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        print(text, end="")
+    except (UsageError, ParseError, GenerationFailure, GridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ParseError, GenerationFailure, GridError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return _EXIT_CODES[report["status"]]
 
 
 if __name__ == "__main__":

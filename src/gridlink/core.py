@@ -25,7 +25,7 @@ from enum import IntEnum
 from functools import cached_property
 from itertools import compress
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class GridError(Exception):
@@ -493,16 +493,6 @@ def _component_ids(grid: NumberedGrid, mult: Sequence[int]) -> Iterator[list[int
                     seen[q] = True
                     comp.append(q)
         yield comp
-
-
-def _components(grid: NumberedGrid, edges: Iterable[EdgeKey]) -> Iterator[set[Coordinate]]:
-    """Connected components of the node set under the given edges, as
-    coordinate sets; see _component_ids."""
-    mult = [0] * len(grid._ends)
-    for e in edges:
-        mult[grid._edge_id(e)] = 1
-    for comp in _component_ids(grid, mult):
-        yield {grid.nodes[i].coord for i in comp}
 
 
 def is_solved(state: PuzzleState) -> SolvedCheck:

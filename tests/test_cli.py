@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, reports, determinism."""
 
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -172,3 +174,75 @@ class TestSubprocessInvocation:
         assert r.returncode == 0
         rows = [line.split(",") for line in r.stdout.strip().splitlines()]
         assert rows[2][1 + 7] == "4"
+
+
+# Puzzles beside the fixtures, for the verdicts the fixtures do not reach:
+# a screen violation (odd magnitude sum) and a grid that passes the screens
+# but has no solution, plus a malformed file and an over-capacity record.
+EXTRA_FILES = {
+    "odd.puzzle": "k 1\nnode 0 0 1\nnode 1 0 2\n",
+    "dead.puzzle": "k 1\nnode 0 0 2\nnode 1 0 2\n",
+    "bad.puzzle": "node 0 0 1\n",
+    "over.solution": "conn 0 0 1 0 2\n",
+}
+
+
+def surface_matrix():
+    """Every subcommand and error path, with paths relative to the
+    directory the fixtures were copied into."""
+    puzzles = [f"fixtures/{p.name}" for p in sorted(FIXTURES.glob("*.puzzle"))]
+    puzzles += ["odd.puzzle", "dead.puzzle"]
+    for p in puzzles:
+        for form in ([], ["--json"]):
+            yield ["screen", p, *form]
+            yield ["tau", p, *form]
+            yield ["solve", p, *form]
+            for method in ("tau", "brute", "auto"):
+                yield ["solve", p, "--method", method, *form]
+            yield ["enumerate", p, "--limit", "3", *form]
+            yield ["min-k", p, "--k-max", "3", *form]
+        yield ["tau", p, "--trace"]
+        yield ["render", p]
+    for sol in sorted(FIXTURES.glob("*.solution")):
+        p = f"fixtures/{sol.stem}.puzzle"
+        for form in ([], ["--json"]):
+            yield ["verify", p, f"fixtures/{sol.name}", *form]
+        yield ["render", p, "--solution", f"fixtures/{sol.name}"]
+    for form in ([], ["--json"]):
+        yield ["verify", "fixtures/pair.puzzle", "over.solution", *form]
+    yield ["render", "fixtures/pair.puzzle", "--solution", "over.solution"]
+    for n in (1, 2, 3, 4):
+        for form in ([], ["--csv"]):
+            yield ["count-table", "--neighbors", str(n), "--k-max", "3", *form]
+    for seed in (0, 7):
+        for mode in ([], ["--solvable"]):
+            yield ["gen", "--seed", str(seed), "--width", "4", "--height", "3",
+                   "--density", "0.7", "--k", "2", *mode]
+    # Usage, parse, missing-file and limit errors.
+    yield []
+    yield ["tau"]
+    yield ["enumerate", "fixtures/pair.puzzle"]
+    yield ["tau", "no-such-file.puzzle"]
+    yield ["verify", "fixtures/pair.puzzle", "no-such-file.solution"]
+    yield ["tau", "bad.puzzle", "--json"]
+    yield ["solve", "fixtures/pair.puzzle", "--limit", "0"]
+    yield ["enumerate", "fixtures/pair.puzzle", "--limit", "0", "--json"]
+    yield ["gen", "--seed", "0", "--width", "1", "--height", "1", "--density", "1", "--k", "1"]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every surface_matrix()
+# invocation, recorded before the report path was shared between commands.
+SURFACE_DIGEST = "ff9c641e32d2d33f1bf95b70575997d32dc896e7acff91586039c396ab339e2a"
+
+
+class TestSurfacePinned:
+    def test_every_invocation_matches_its_record(self, capsys, tmp_path, monkeypatch):
+        shutil.copytree(FIXTURES, tmp_path / "fixtures")
+        for name, text in EXTRA_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for argv in surface_matrix():
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, code, out, err]).encode("utf-8"))
+        assert digest.hexdigest() == SURFACE_DIGEST

@@ -357,6 +357,31 @@ class TestIncrementalEngine:
                 steps += 1
         assert steps >= 700 and memo_checks >= 10000
 
+    def test_a_join_between_one_and_two_magnitudes_drops_omega_star(self):
+        # A k=4 row (0, 0)..(5, 0) of magnitudes 4 5 2 2 2 1, beside a far
+        # pair. The steps draw one connection down the row; the last one
+        # completes (4, 0) and (5, 0), four links from (0, 0), and leaves
+        # the row's component with residual sum 3 + 3: more than the largest
+        # magnitude, at most twice it. (0, 0)'s only word, 3 toward (1, 0),
+        # now seals the row off, so the omega_star kept from before the step
+        # must go, though no other reason reaches (0, 0).
+        g = NumberedGrid(4, [
+            node(0, 0, 4), node(1, 0, 5), node(2, 0, 2), node(3, 0, 2), node(4, 0, 2), node(5, 0, 1),
+            node(10, 5, 1), node(11, 5, 1),
+        ])
+        engine = _Engine(PuzzleState.empty(g))
+        for x in range(5):
+            engine._omega_move()  # fills in the missing omega_star words
+            i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
+            engine.apply(i, tuple(int(link is not None and link[0] == right) for link in g._links[i]))
+            state = engine.state
+            assert not _Context(state).dead
+            engine._omega_move()
+            for j, w in engine.guaranteed.items():
+                expected = omega_star(state, g.nodes[j])
+                assert w == (None if expected is None else expected.counts), (x, g.nodes[j])
+        assert engine.guaranteed[g._index[Coordinate(0, 0)]] is None
+
     def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
         # Every interior node of a k=1 chain of magnitude-2 nodes is
         # saturated, so the engine solves it with 1199 R1 steps. Recomputing

@@ -26,7 +26,7 @@ from gridlink import (
     omega_star,
     word_meet,
 )
-from gridlink.core import _components
+from gridlink.core import _component_ids
 from gridlink.words import _Context
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
@@ -165,6 +165,16 @@ def fitting_words(state, p, n):
     return [w for w in enumerate_phi_k(n, state.grid.k) if all(w.count(d) <= caps[d] for d in Direction)]
 
 
+def components(grid, edges):
+    """Connected components of the node set under the given edges, as
+    coordinate sets."""
+    mult = [0] * len(grid._ends)
+    for e in edges:
+        mult[grid._edge_id(e)] = 1
+    for comp in _component_ids(grid, mult):
+        yield {grid.nodes[i].coord for i in comp}
+
+
 def whole_state_feasible(state, p):
     """enumerate_feasible by its definition: apply each word that fits and
     judge the whole state it leaves."""
@@ -177,7 +187,7 @@ def whole_state_feasible(state, p):
         left = {n.coord: after.residual(n) for n in grid.nodes}
         sealed = any(
             len(comp) < len(grid.nodes) and all(left[c] == 0 for c in comp)
-            for comp in _components(grid, after.connections())
+            for comp in components(grid, after.connections())
         )
         starved = any(
             left[n.coord] > 0 and all(left[q.coord] == 0 for q in grid.neighbors(n).values())
