@@ -297,6 +297,16 @@ class NumberedGrid:
         return _DigestEntries(self.all_edges)
 
 
+def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> NumberedGrid:
+    """A grid over grid's coordinates with bound k, node id i labeled
+    magnitudes[i]. Topology depends on the coordinates alone, so the result
+    shares the tables grid has already compiled."""
+    out = NumberedGrid(k, [Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)])
+    tables = ("_index", "_links", "_ends", "_crossings")
+    out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
+    return out
+
+
 class _DigestEntries(dict):
     """A grid's digest entries ";e:ax,ay,bx,by,m": for each multiplicity m
     asked for, a tuple of them by edge id, built on first use."""

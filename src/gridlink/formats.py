@@ -27,6 +27,9 @@ from .core import (
 )
 from .words import count_configs
 
+# render_board draws every lattice cell, and sparse boards can span billions.
+_MAX_BOARD_CELLS = 10**6
+
 
 class ParseError(ValueError):
     """Malformed document; carries the offending 1-based line number."""
@@ -164,11 +167,13 @@ def render_board(state: PuzzleState) -> str:
     Node cells show the magnitude, with the residual in parentheses while
     nonzero; `-`/`=` mark single/double horizontal connections (the count
     itself for more), `|`/`‖` the vertical ones. Rows print top-down,
-    i.e. decreasing y.
+    i.e. decreasing y. Boards over _MAX_BOARD_CELLS cells raise ValueError.
     """
     grid = state.grid
     max_x = max(n.coord.x for n in grid.nodes)
     max_y = max(n.coord.y for n in grid.nodes)
+    if (max_x + 1) * (max_y + 1) > _MAX_BOARD_CELLS:
+        raise ValueError(f"{max_x + 1}x{max_y + 1} board exceeds the {_MAX_BOARD_CELLS} cells render draws")
 
     def cell_text(c: Coordinate) -> str:
         n = grid.node_at(c)

@@ -1,9 +1,11 @@
 """Exhaustive ground-truth machinery.
 
 The enumerator assigns a multiplicity 0..k to every neighbor-pair edge by
-depth-first search with residual and crossing pruning, checking connectivity
-at the leaves. It is a desk-scale device: the propagation engine is the
-scalable solver, and the enumerator is what we trust when the two must agree.
+depth-first search with residual and crossing pruning, keeping the components
+of the positive edges in a union-find that it rolls back as it backtracks. It
+is a desk-scale device: the propagation engine is the scalable solver, and the
+enumerator, which shares no bookkeeping with it, is what we trust when the two
+must agree.
 
 Also here: the minimal-k sweep, seeded random instance generation (including
 a mode that is solvable by construction), and the search for grids with a
@@ -17,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, Node, NumberedGrid
+from .core import Coordinate, Node, NumberedGrid, _relabeled
 from .tau import _stalls_at_start
 
 MAX_SWEEP_K = 8
@@ -69,7 +71,7 @@ class SolutionSet:
         return len(self.solutions)
 
 
-# Keeps its own search and walkers: it is the independent reference for the engine.
+# Keeps its own search and components: it is the independent reference for the engine.
 def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
     """Enumerate every connection assignment that solves the grid.
 
@@ -92,20 +94,44 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     values = [0] * len(edges)
     found: list[dict] = []
 
-    def sealed_off(start: int) -> bool:
-        """True when start's positive-edge component is fully completed but
-        does not span the grid."""
-        comp = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            if degree[c] != magnitude[c]:
-                return False
-            for q, e in filter(None, links[c]):
-                if values[e] > 0 and q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        return len(comp) < n_nodes
+    # The positive-edge components as a union-find with rollback (Westbrook and
+    # Tarjan 1989): union by size without path compression, so find is O(log n)
+    # and, as values are withdrawn in reverse order, an undo resets one parent.
+    # A root holds its component's size and residual (sum of magnitude - degree);
+    # merged[i] is the root that edge i's value merged away, or None.
+    parent = list(range(n_nodes))
+    size = [1] * n_nodes
+    residual = magnitude[:]
+    merged: list[Optional[int]] = [None] * len(edges)
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    def assign(i: int, a: int, b: int, v: int) -> int:
+        """Put v > 0 on edge i between a and b; returns their joint root."""
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+            residual[ra] += residual[rb]
+            merged[i] = rb
+        residual[ra] -= 2 * v
+        return ra
+
+    def withdraw(i: int, a: int, v: int) -> None:
+        """Undo assign(i, a, b, v)."""
+        residual[find(a)] += 2 * v
+        rb = merged[i]
+        if rb is not None:
+            ra = parent[rb]
+            size[ra] -= size[rb]
+            residual[ra] -= residual[rb]
+            parent[rb] = rb
+            merged[i] = None
 
     # Depth-first search with an explicit cursor: i is the edge being
     # assigned, and cursor[i] the next multiplicity to try on it; edges past
@@ -115,8 +141,10 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     i = 0
     while i >= 0:
         if i == len(edges):
-            # Every node is completed here, so sealed_off(0) is "not connected".
-            if degree == magnitude and not sealed_off(0):
+            # Every node is completed here, and the seal test has cut every
+            # component that does not span: this re-check is a backstop.
+            root = find(0)
+            if residual[root] == 0 and size[root] == n_nodes:
                 found.append({edges[j]: values[j] for j in range(len(edges)) if values[j] > 0})
                 if limit is not None and len(found) >= limit:
                     break
@@ -129,6 +157,8 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
         else:  # back from the subtree below: withdraw the value it assumed
             degree[a] -= values[i]
             degree[b] -= values[i]
+            if values[i]:
+                withdraw(i, a, values[i])
         # A value above either endpoint's remaining magnitude overshoots it,
         # so the loop stops there rather than at k.
         blocked = any(values[j] > 0 for j in conflicts[i] if j < i)
@@ -139,7 +169,11 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
             degree[b] += v
             ok = magnitude[a] - degree[a] <= headroom[a] and magnitude[b] - degree[b] <= headroom[b]
             if ok and v > 0:
-                ok = not any(degree[c] == magnitude[c] and sealed_off(c) for c in (a, b))
+                # A completed component that does not span the grid is sealed off.
+                root = assign(i, a, b, v)
+                ok = residual[root] > 0 or size[root] == n_nodes
+                if not ok:
+                    withdraw(i, a, v)
             if ok:
                 cursor[i] = v + 1
                 i += 1
@@ -193,9 +227,9 @@ def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list
     return taken
 
 
-def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optional[list[Node]]:
+def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optional[NumberedGrid]:
     """Random connected, non-crossing multigraph over the neighbor pairs,
-    returned as its nodes, each labeled with its degree.
+    returned as the grid of bound k whose nodes are labeled with their degree.
 
     Returns None when a randomized spanning pass dead-ends against the
     crossing constraints.
@@ -241,7 +275,7 @@ def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optio
     for e, m in chosen.items():
         for a in ends[e]:
             degree[a] += m
-    return [Node(n.coord, d) for n, d in zip(probe.nodes, degree)]
+    return _relabeled(probe, k, degree)
 
 
 def generate(spec: GenSpec) -> NumberedGrid:
@@ -267,9 +301,9 @@ def generate(spec: GenSpec) -> NumberedGrid:
     frame_first = rng.random() < 0.5
     for _ in range(_PLACEMENT_ATTEMPTS):
         coords = _place_coords(rng, spec, frame_first=frame_first)
-        nodes = _spanning_multigraph(rng, coords, spec.k)
-        if nodes is not None:
-            return NumberedGrid(spec.k, nodes)
+        grid = _spanning_multigraph(rng, coords, spec.k)
+        if grid is not None:
+            return grid
     raise GenerationFailure(
         f"no connected non-crossing layout found for {spec.width}x{spec.height} "
         f"at density {spec.node_density}"

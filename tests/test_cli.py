@@ -144,11 +144,12 @@ class TestJsonReports:
 
 
 class TestSubprocessInvocation:
-    def run(self, *argv):
+    def run(self, *argv, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "gridlink", *map(str, argv)],
             capture_output=True,
             text=True,
+            timeout=timeout,
             cwd=Path(__file__).resolve().parent.parent,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
@@ -165,6 +166,15 @@ class TestSubprocessInvocation:
         sol = tmp_path / "over.solution"
         sol.write_text("conn 0 0 1 0 2\n")
         r = self.run("render", FIXTURES / "pair.puzzle", "--solution", sol)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
+    def test_render_refuses_a_board_too_large_to_draw(self, tmp_path):
+        # Legal, since the format is sparse, but its board has 10^8 cells.
+        p = tmp_path / "wide.puzzle"
+        p.write_text("k 1\nnode 0 0 1\nnode 99999999 0 1\n")
+        r = self.run("render", p, timeout=10)
         assert r.returncode == 1
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr

@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -23,6 +24,7 @@ from gridlink import (
     run_tau,
     screen,
     serialize_puzzle,
+    SolutionSet,
     TauStatus,
 )
 
@@ -55,6 +57,109 @@ def brute_force_square_solutions():
         if len(seen) == 4:
             keepers.append(values)
     return keepers
+
+
+def reference_enumerate(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
+    """The enumerator as it was before it kept its components in a
+    union-find: after every positive value it walks the positive-edge
+    component of both endpoints. Enumerate every connection assignment that
+    solves the grid.
+
+    Edges take multiplicities in canonical order; branches die as soon as a
+    node overshoots its magnitude, can no longer reach it, a crossing pair
+    goes doubly positive, or a completed region seals itself off from the
+    rest. Leaves are kept when the connection multigraph spans all nodes.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    edges = grid.all_edges
+    ends, links, conflicts = grid._ends, grid._links, grid._crossings
+    k = grid.k
+    n_nodes = len(grid.nodes)
+    magnitude = [n.magnitude for n in grid.nodes]
+    degree = [0] * n_nodes
+    # Per node: k * (number of incident edges not yet assigned); an upper
+    # bound on connections the node can still receive.
+    headroom = [k * (4 - node_links.count(None)) for node_links in links]
+    values = [0] * len(edges)
+    found: list[dict] = []
+
+    def sealed_off(start: int) -> bool:
+        """True when start's positive-edge component is fully completed but
+        does not span the grid."""
+        comp = {start}
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            if degree[c] != magnitude[c]:
+                return False
+            for q, e in filter(None, links[c]):
+                if values[e] > 0 and q not in comp:
+                    comp.add(q)
+                    stack.append(q)
+        return len(comp) < n_nodes
+
+    # Depth-first search with an explicit cursor: i is the edge being
+    # assigned, and cursor[i] the next multiplicity to try on it; edges past
+    # i hold 0. A recursion would need one frame per edge, which long grids
+    # exceed. The loop ends with i < 0 unless the limit stopped it.
+    cursor = [0] * len(edges)
+    i = 0
+    while i >= 0:
+        if i == len(edges):
+            # Every node is completed here, so sealed_off(0) is "not connected".
+            if degree == magnitude and not sealed_off(0):
+                found.append({edges[j]: values[j] for j in range(len(edges)) if values[j] > 0})
+                if limit is not None and len(found) >= limit:
+                    break
+            i -= 1
+            continue
+        a, b = ends[i]
+        if cursor[i] == 0:
+            headroom[a] -= k
+            headroom[b] -= k
+        else:  # back from the subtree below: withdraw the value it assumed
+            degree[a] -= values[i]
+            degree[b] -= values[i]
+        # A value above either endpoint's remaining magnitude overshoots it,
+        # so the loop stops there rather than at k.
+        blocked = any(values[j] > 0 for j in conflicts[i] if j < i)
+        top = 0 if blocked else min(k, magnitude[a] - degree[a], magnitude[b] - degree[b])
+        for v in range(cursor[i], top + 1):
+            values[i] = v
+            degree[a] += v
+            degree[b] += v
+            ok = magnitude[a] - degree[a] <= headroom[a] and magnitude[b] - degree[b] <= headroom[b]
+            if ok and v > 0:
+                ok = not any(degree[c] == magnitude[c] and sealed_off(c) for c in (a, b))
+            if ok:
+                cursor[i] = v + 1
+                i += 1
+                break
+            degree[a] -= v
+            degree[b] -= v
+        else:
+            values[i] = 0
+            cursor[i] = 0
+            headroom[a] += k
+            headroom[b] += k
+            i -= 1
+    return SolutionSet(tuple(found), exhausted=i < 0)
+
+
+# Generated grids up to 6x6, k 1-3, both modes; the frame-first constructive
+# placements bring the crossing pairs.
+REFERENCE_CORPUS = [
+    (3, 3, 0.9, 1, GenMode.RANDOM, range(20)),
+    (4, 4, 0.75, 2, GenMode.RANDOM, range(20)),
+    (5, 5, 0.6, 3, GenMode.RANDOM, range(12)),
+    (4, 4, 0.7, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (5, 5, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(15)),
+    (5, 5, 0.8, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+    (6, 6, 0.7, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(20)),
+    (6, 6, 0.7, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+    (6, 6, 0.6, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+]
 
 
 # sha256 of every corpus grid's solutions in search order, with and without
@@ -128,21 +233,63 @@ class TestEnumerateSolutions:
         assert sols.exhausted and len(sols) == 1
         assert sols.solutions[0] == {e: 1 for e in g.all_edges}
 
-    def test_huge_k_is_bounded_by_the_magnitudes(self, tmp_path):
-        # No multiplicity above an endpoint's remaining magnitude is tried,
-        # so k far beyond the magnitudes costs nothing.
-        p = tmp_path / "pair.puzzle"
-        p.write_text("k 1000000000\nnode 0 0 1\nnode 1 0 1\n")
-        r = subprocess.run(
-            [sys.executable, "-m", "gridlink", "enumerate", str(p), "--limit", "2"],
+    def run_enumerate(self, puzzle):
+        return subprocess.run(
+            [sys.executable, "-m", "gridlink", "enumerate", str(puzzle), "--limit", "2"],
             capture_output=True,
             text=True,
             timeout=10,
             cwd=Path(__file__).resolve().parent.parent,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
+
+    def test_huge_k_is_bounded_by_the_magnitudes(self, tmp_path):
+        # No multiplicity above an endpoint's remaining magnitude is tried,
+        # so k far beyond the magnitudes costs nothing.
+        p = tmp_path / "pair.puzzle"
+        p.write_text("k 1000000000\nnode 0 0 1\nnode 1 0 1\n")
+        r = self.run_enumerate(p)
         assert r.returncode == 0
         assert r.stdout == "# solutions 1 exhausted true\n# solution 1\nconn 0 0 1 0 1\n"
+
+    def test_matches_the_walker_reference(self):
+        crossed = 0
+        for width, height, density, k, mode, seeds in REFERENCE_CORPUS:
+            for seed in seeds:
+                spec = GenSpec(seed=seed, width=width, height=height, node_density=density, k=k, mode=mode)
+                try:
+                    g = generate(spec)
+                except GenerationFailure:
+                    continue
+                crossed += any(g._crossings)
+                for limit in (None, 1, 2):
+                    assert enumerate_solutions(g, limit) == reference_enumerate(g, limit), (g.nodes, limit)
+        assert crossed
+
+    def test_long_chain_costs_linear_time(self, tmp_path):
+        # A walk over the whole component after every value made this
+        # quadratic: about 100 s for 20000 nodes.
+        n = 20000
+        p = tmp_path / "chain.puzzle"
+        p.write_text("k 1\n" + "".join(f"node {x} 0 {1 if x in (0, n - 1) else 2}\n" for x in range(n)))
+        r = self.run_enumerate(p)
+        assert r.returncode == 0
+        assert r.stdout.startswith("# solutions 1 exhausted true\n")
+
+    def test_sealed_region_prunes_the_rest(self, tmp_path):
+        # The square's cycle closes inside one component and completes it,
+        # so the search must stop there. Without that cut it would enumerate
+        # the constructive 12x12 grid beside the square, which shares no row
+        # or column with it, for well over a minute.
+        rest = generate(GenSpec(seed=0, width=12, height=12, node_density=0.6, k=2,
+                                mode=GenMode.SOLVABLE_BY_CONSTRUCTION))
+        square = [node(0, 0, 2), node(1, 0, 2), node(0, 1, 2), node(1, 1, 2)]
+        moved = [node(n.coord.x + 2, n.coord.y + 2, n.magnitude) for n in rest.nodes]
+        p = tmp_path / "sealed.puzzle"
+        p.write_text(serialize_puzzle(NumberedGrid(2, square + moved)))
+        r = self.run_enumerate(p)
+        assert r.returncode == 2
+        assert r.stdout.startswith("# solutions 0 exhausted true\n")
 
     def test_corpus_output_is_pinned(self, corpus, corpus_solutions):
         digest = hashlib.sha256()
