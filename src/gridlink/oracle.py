@@ -20,6 +20,7 @@ from random import Random
 from typing import Optional
 
 from .core import Coordinate, Node, NumberedGrid, _relabeled
+from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
 MAX_SWEEP_K = 8
@@ -205,26 +206,29 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
 
 
 def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list[Coordinate]:
-    cells = [Coordinate(x, y) for y in range(spec.height) for x in range(spec.width)]
-    if len(cells) < 2:
-        raise GenerationFailure(
-            f"{spec.width}x{spec.height} lattice cannot hold the 2 nodes a grid needs"
-        )
-    count = min(len(cells), max(2, round(spec.node_density * len(cells))))
+    width, height = spec.width, spec.height
+    cells = width * height
+    if cells < 2:
+        raise GenerationFailure(f"{width}x{height} lattice cannot hold the 2 nodes a grid needs")
+    if cells > _MAX_BOARD_CELLS:
+        raise GenerationFailure(f"{width}x{height} lattice exceeds the {_MAX_BOARD_CELLS} cells a grid may span")
+    count = min(cells, max(2, round(spec.node_density * cells)))
+    # Cells are drawn by row-major index; a Coordinate is built only for the
+    # cells drawn.
     if not frame_first:
-        return rng.sample(cells, count)
+        return [Coordinate(c % width, c // width) for c in rng.sample(range(cells), count)]
     # Frame-first placement: exhaust the boundary before touching the
     # interior. Interior gaps leave long sight lines and crossing pairs,
     # which is where the structurally hard instances live.
-    boundary: list[Coordinate] = []
-    interior: list[Coordinate] = []
-    for c in cells:
-        on_frame = c.x in (0, spec.width - 1) or c.y in (0, spec.height - 1)
-        (boundary if on_frame else interior).append(c)
+    rows = {*range(width), *range(cells - width, cells)}
+    boundary = sorted(rows.union(range(0, cells, width), range(width - 1, cells, width)))
     taken = rng.sample(boundary, min(count, len(boundary)))
+    coords = [Coordinate(c % width, c // width) for c in taken]
     if count > len(boundary):
-        taken += rng.sample(interior, count - len(boundary))
-    return taken
+        inner = width - 2
+        picked = rng.sample(range(cells - len(boundary)), count - len(boundary))
+        coords += [Coordinate(1 + c % inner, 1 + c // inner) for c in picked]
+    return coords
 
 
 def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optional[NumberedGrid]:

@@ -11,22 +11,23 @@ in a fixed rule priority:
       incomplete node, preferring few neighbors and residuals far from the
       configuration-count peak at floor(r*k/2).
 
-R1-R3 are local: each reads one node and its remaining capacity, and they
-live in one rule table, _LOCAL_RULES, next to the over-capacity check that
-proves a node dead. run_tau loops over the step function of an _Engine,
-which carries its bookkeeping from step to step: each incomplete node's
-capacity, the nodes where the over-capacity check and each rule fire, the
-word test's component context, and each node's omega_star as far as
-computed. The next move is the lowest node id of the first non-empty set,
-in rule order, and R4 reads the kept omega_star words. A step re-examines
-only what it can change: the capacity and rules of the nodes it connects,
-their neighbors and the ends of the edges crossing an edge it opens; and
-it drops the omega_star of those nodes, of the nodes within three links of
-a node it completes, and of the nodes near a component it leaves with a
-small residual sum (_Engine.apply and words._Context.join say why). The
-stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
-the same bookkeeping on the empty state, so a change to a rule reaches
-both.
+R1-R3 are local: each reads one node, its neighbors' residuals and its
+remaining capacity. _Engine._revise evaluates all three in one pass over
+the capacity it computes, next to the over-capacity check that proves a
+node dead. run_tau loops over the step function of an _Engine, which
+carries its bookkeeping from step to step: each incomplete node's capacity,
+the edges a positive edge crosses, the nodes where the over-capacity check
+and each rule fire, the word test's component context, and each node's
+omega_star as far as computed. The next move is the lowest node id of the
+first non-empty set, in rule order, and R4 reads the kept omega_star words.
+A step re-examines only what it can change: the capacity and rules of the
+nodes it connects, their neighbors and the ends of the edges crossing an
+edge it opens; and, when omega_star words are kept, it drops those of the
+same nodes, of the nodes within three links of a node it completes, and of
+the nodes near a component it leaves with a small residual sum
+(_Engine.apply and words._Context.join say why). The stall search
+(_stalls_at_start, used by oracle.find_stall_witness) reads the same
+bookkeeping on the empty state, so a change to a rule reaches both.
 
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
@@ -58,6 +59,10 @@ class TauRule(Enum):
     R2_SINGLE_NEIGHBOR = "R2_SingleNeighbor"
     R3_ONE_INCOMPLETE_NEIGHBOR = "R3_OneIncompleteNeighbor"
     R4_OMEGA_STAR = "R4_OmegaStar"
+
+
+# The rules _Engine evaluates in _revise, in the order of its forced tables.
+_RULE_ORDER = tuple(TauRule)[:3]
 
 
 class TauStatus(Enum):
@@ -119,69 +124,64 @@ def _toward(slot: int, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-# The local rules read node id i and its capacity per direction (caps, in
-# Direction order) and return the counts of the word they force at i, or
-# None otherwise.
-
-def _overdrawn(state: PuzzleState, i: int, caps: tuple[int, ...]) -> bool:
-    """Node i needs more than its surroundings can still hold: no word exists."""
-    return state._res[i] > sum(caps)
-
-
-def _saturate(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    return caps if state._res[i] == sum(caps) else None
-
-
-def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    slots = [s for s, link in enumerate(state.grid._links[i]) if link]
-    return _toward(slots[0], state._res[i]) if len(slots) == 1 else None
-
-
-# Read after _single_neighbor, which claims the nodes with one neighbor.
-def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    res = state._res
-    slots = [s for s, link in enumerate(state.grid._links[i]) if link and res[link[0]]]
-    return _toward(slots[0], res[i]) if len(slots) == 1 else None
-
-
-_LOCAL_RULES = (
-    (TauRule.R1_FULL_SATURATION, _saturate),
-    (TauRule.R2_SINGLE_NEIGHBOR, _single_neighbor),
-    (TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, _one_open_neighbor),
-)
-
-
 class _Engine:
     """The engine's bookkeeping for its current state, carried across steps.
 
     caps holds each node id's capacity per direction (None once the node is
     completed); over the nodes where the over-capacity check fires; forced,
     per local rule, the word counts the rule forces at each node where it
-    fires; ctx the word test's context, built when R4 first needs it; and
-    guaranteed each node's omega_star counts (None for no feasible word),
-    as far as computed since then.
+    fires; blocked, per edge id, whether a positive edge crosses it; ctx the
+    word test's context, built when R4 first needs it; and guaranteed each
+    node's omega_star counts (None for no feasible word), as far as computed
+    since then.
     """
 
     def __init__(self, state: PuzzleState) -> None:
+        grid, mult = state.grid, state._mult
         self.state = state
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(state._res)
         self.over: set[int] = set()
-        self.forced: list[dict[int, tuple[int, ...]]] = [{} for _ in _LOCAL_RULES]
+        self.forced: list[dict[int, tuple[int, ...]]] = [{}, {}, {}]
+        # A blocked edge is empty, as positive edges never cross; and
+        # multiplicities only grow here, so an edge once blocked stays so.
+        self.blocked = [any(mult[c] for c in crossing) for crossing in grid._crossings]
+        # R2's slot: the direction of a node's only neighbor, if it has one.
+        self.single: list[Optional[int]] = []
+        for links in grid._links:
+            slots = [s for s, link in enumerate(links) if link]
+            self.single.append(slots[0] if len(slots) == 1 else None)
         self.ctx: Optional[_Context] = None
         self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
         for i in range(len(state._res)):
             self._revise(i)
 
     def _revise(self, i: int) -> None:
-        """Re-evaluate node id i's capacity, over-capacity check and rules."""
-        state = self.state
-        caps = self.caps[i] = state._capacity(i) if state._res[i] else None
-        if caps is not None and _overdrawn(state, i, caps):
+        """Re-evaluate node id i's capacity, the over-capacity check and the
+        local rules: R1 when its residual equals its capacity, R2 when it has
+        one neighbor, R3 when it has one incomplete neighbor (R2 claims the
+        nodes with one neighbor first)."""
+        state, single = self.state, self.single[i]
+        res, mult, k = state._res, state._mult, state.grid.k
+        r, caps, room, words = res[i], None, 0, (None, None, None)
+        if r:
+            caps, open_slots = [0, 0, 0, 0], []
+            for s, link in enumerate(state.grid._links[i]):
+                if link and res[link[0]]:
+                    open_slots.append(s)
+                    if not self.blocked[link[1]]:
+                        caps[s] = min(k - mult[link[1]], res[link[0]])
+            caps, room = tuple(caps), sum(caps)
+            words = (
+                caps if r == room else None,
+                None if single is None else _toward(single, r),
+                _toward(open_slots[0], r) if len(open_slots) == 1 else None,
+            )
+        self.caps[i] = caps
+        if r > room:
             self.over.add(i)
         else:
             self.over.discard(i)
-        for table, (_, forced) in zip(self.forced, _LOCAL_RULES):
-            word = None if caps is None else forced(state, i, caps)
+        for table, word in zip(self.forced, words):
             if word is None:
                 table.pop(i, None)
             else:
@@ -202,7 +202,7 @@ class _Engine:
                 f"node at {grid.nodes[i].coord} needs {state._res[i]} more connections but only "
                 f"{sum(self.caps[i])} remain available around it"
             )
-        for (rule, _), table in zip(_LOCAL_RULES, self.forced):
+        for rule, table in zip(_RULE_ORDER, self.forced):
             if table:
                 i = min(table)
                 return i, rule, table[i]
@@ -243,16 +243,19 @@ class _Engine:
         """Apply the word counts at node id i, and re-examine what it changes.
 
         The residual changes at i and the neighbors the word connects to
-        (touched). Capacity and the local rules read a node's residual, the
-        residuals of its neighbors, and the multiplicities of its edges and
-        of the edges crossing them, so they are re-evaluated at touched
-        nodes, their neighbors, and the ends of the edges crossing an edge
-        the step opened. omega_star is dropped at those nodes; within three
-        links of a node the step completed; and at the nodes ctx.join
-        reports and their neighbors -- all that _feasible reads.
+        (touched), and the edges crossing an edge the step opened become
+        blocked. Capacity and the local rules read a node's residual, the
+        residuals of its neighbors, and the multiplicities and blocked flags
+        of its edges, so they are re-evaluated at touched nodes, their
+        neighbors, and the ends of the edges the step blocked. The context,
+        if built, joins the touched components. Kept omega_star words are
+        dropped at the re-evaluated nodes; within three links of a node the
+        step completed; and at the nodes ctx.join reports and their
+        neighbors -- all that _feasible reads. With none kept, as on runs
+        that need only R1-R3, there is nothing to drop.
         """
         state, links = self.state, self.state.grid._links
-        crossings, ends = state.grid._crossings, state.grid._ends
+        crossings, ends, blocked = state.grid._crossings, state.grid._ends, self.blocked
         touched, opened = [i], []
         for link, m in zip(links[i], counts):
             if m:
@@ -269,15 +272,18 @@ class _Engine:
         revise = near(touched).union(touched)
         for e in opened:
             for x in crossings[e]:
+                blocked[x] = True
                 revise.update(ends[x])
         for c in revise:
             self._revise(c)
+        joined = self.ctx.join(state, touched, 2 * sum(counts)) if self.ctx else []
+        if not self.guaranteed:
+            return
         ball = {c for c in touched if not state._res[c]}
         frontier = ball
         for _ in range(3):
             frontier = near(frontier) - ball
             ball |= frontier
-        joined = self.ctx.join(state, touched, 2 * sum(counts)) if self.ctx else []
         for c in revise.union(ball, joined, near(joined)):
             self.guaranteed.pop(c, None)
 

@@ -238,35 +238,47 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
     """The feasible words of node id i, as counts in enumerate_phi_k order,
     given the state's context (not dead) and i's capacity per direction.
 
-    See enumerate_feasible for the argument. What the test reads, besides
-    caps: the residuals of i and its neighbors; whether each node within
-    three links of i is completed (a completed node's neighbors, and
-    theirs, for starvation); the labels of i and its neighbors; and the
-    sums and sizes of their components.
+    See enumerate_feasible for the argument. A word completes i and lowers
+    the residuals of the neighbors it uses, and of no other node. Two
+    neighbors of one node never neighbor each other: two in opposite
+    directions have that node between them, and two in perpendicular ones
+    share no row or column. So a word can starve only i's incomplete
+    neighbors (through i) and the incomplete nodes two links away (through
+    the neighbors it completes), and whether such a node's other neighbors
+    are completed does not depend on the word. That part is read once per
+    call. Each word then reads only its residuals at i's neighbors, the
+    labels of i and its neighbors and the sums and sizes of their
+    components.
     """
     residual, links = state._res, state.grid._links
     label, sums, sizes = ctx.label, ctx.sums, ctx.sizes
     res, total = residual[i], len(residual)
-
-    def starved(c: int, after: dict[int, int]) -> bool:
-        """Node c is incomplete and its neighbors are not, with after's residuals."""
-        return after.get(c, residual[c]) > 0 and all(
-            after.get(q, residual[q]) == 0 for q, _ in filter(None, links[c])
-        )
+    # A word starves the neighbor in a lonely slot unless it completes it,
+    # and a node two links away if it completes every slot of its cut.
+    left = [residual[link[0]] if link else 0 for link in links[i]]
+    slot = {link[0]: s for s, link in enumerate(links[i]) if link and residual[link[0]]}
+    labels = [(s, label[q]) for q, s in slot.items()]
+    lonely, cuts = [], set()
+    for q, s in slot.items():
+        beyond = [p for p, _ in filter(None, links[q]) if p != i and residual[p]]
+        if not beyond:
+            lonely.append(s)
+        for p in beyond:
+            around = [c for c, _ in filter(None, links[p]) if residual[c]]
+            if all(c in slot for c in around):
+                cuts.add(tuple([slot[c] for c in around]))
 
     # Capacity toward a direction is at most k, so only words within caps
-    # are generated; there are none when res > 4k.
+    # are generated; there are none when res > 4k. A word uses only the
+    # incomplete neighbors, as caps is 0 toward the others.
     survivors = []
     for counts in _spread(res, caps):
-        after = {i: 0}
-        for link, m in zip(links[i], counts):
-            if m:
-                after[link[0]] = residual[link[0]] - m
-        merged = {label[c] for c in after}
+        merged = {label[i]}.union([j for s, j in labels if counts[s]])
         if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
             continue
-        completed = [c for c, left in after.items() if not left]
-        if any(starved(q, after) for c in completed for q, _ in filter(None, links[c])):
+        if any(counts[s] < left[s] for s in lonely):
+            continue
+        if any(all(counts[s] == left[s] for s in cut) for cut in cuts):
             continue
         survivors.append(counts)
     return survivors

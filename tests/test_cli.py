@@ -179,6 +179,14 @@ class TestSubprocessInvocation:
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
+    def test_gen_refuses_a_lattice_too_large_to_place(self):
+        # 10^10 cells: placing nodes must fail fast, not allocate the lattice.
+        r = self.run("gen", "--seed", 0, "--width", 100000, "--height", 100000,
+                     "--density", 0.5, "--k", 1, timeout=10)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
     def test_count_table_csv(self):
         r = self.run("count-table", "--neighbors", 4, "--k-max", 2, "--csv")
         assert r.returncode == 0

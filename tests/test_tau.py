@@ -3,6 +3,7 @@
 import hashlib
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -26,7 +27,7 @@ from gridlink import (
     parse_puzzle,
     run_tau,
 )
-from gridlink.tau import _LOCAL_RULES, _Engine, _overdrawn, _stalls_at_start
+from gridlink.tau import _Engine, _stalls_at_start, _toward
 from gridlink.words import _Context
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -209,18 +210,42 @@ ENGINE_CORPUS_DIGEST = "c3c92698207fdfd1c323d9ef19ccf6808c47b91dfb988601afd4ef5f
 ENGINE_REASONS = ("remain available around it", "has no feasible configuration left")
 
 
+# Constructive 12x12-30x30 grids, k 1-3: the sizes where a step's cost
+# matters. The engine stalls on all of them after 13-114 steps.
+LARGE_CORPUS = [
+    (12, 12, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(3)),
+    (12, 12, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(2)),
+    (12, 12, 0.6, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(2)),
+    (16, 16, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(1)),
+    (20, 20, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(2)),
+    (20, 20, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, [1]),
+    (20, 20, 0.6, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, [1]),
+    (24, 24, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(1)),
+    (30, 30, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(2)),
+    (30, 30, 0.6, 3, GenMode.SOLVABLE_BY_CONSTRUCTION, range(1)),
+]
+# Hashed like ENGINE_CORPUS_DIGEST, and recorded before the engine kept a
+# blocked-edge table and the word test read its neighborhood once.
+LARGE_CORPUS_DIGEST = "7d3f724ec1988af56d21de41aebd0f4c4a1610ab1733357e82457efdccd8347f"
+
+
+def outcome_record(out) -> bytes:
+    """An outcome's status, reason and full trace, as pinned digests hash it."""
+    steps = [
+        (st.rule.value, str(st.node), st.word.digits(),
+         [(str(e), m) for e, m in st.edges], st.state_digest)
+        for st in out.trace
+    ]
+    return repr((out.status.value, out.reason, steps)).encode("ascii")
+
+
 class TestEngineCorpus:
     def test_outcomes_are_pinned(self):
         digest = hashlib.sha256()
         statuses, reasons, rules = set(), set(), set()
         for g in generated(ENGINE_CORPUS):
             out = run_tau(g)
-            steps = [
-                (st.rule.value, str(st.node), st.word.digits(),
-                 [(str(e), m) for e, m in st.edges], st.state_digest)
-                for st in out.trace
-            ]
-            digest.update(repr((out.status.value, out.reason, steps)).encode("ascii"))
+            digest.update(outcome_record(out))
             statuses.add(out.status)
             reasons.update(r for r in ENGINE_REASONS if r in (out.reason or ""))
             rules.update(st.rule for st in out.trace)
@@ -229,12 +254,50 @@ class TestEngineCorpus:
         assert rules == set(TauRule)
         assert digest.hexdigest() == ENGINE_CORPUS_DIGEST
 
+    def test_large_grid_outcomes_are_pinned(self):
+        digest = hashlib.sha256()
+        grids, steps, rules = generated(LARGE_CORPUS), 0, set()
+        for g in grids:
+            out = run_tau(g)
+            digest.update(outcome_record(out))
+            steps += len(out.trace)
+            rules.update(st.rule for st in out.trace)
+        assert len(grids) == 16 and steps == 810
+        assert rules == {TauRule.R1_FULL_SATURATION, TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, TauRule.R4_OMEGA_STAR}
+        assert digest.hexdigest() == LARGE_CORPUS_DIGEST
+
 
 def reference_move(state):
     """The engine's step function as it was before it carried bookkeeping
     from step to step: every incomplete node's capacity, rules and
-    omega_star recomputed from the state. Returns (node id, rule, word
-    counts) or (status, reason), like _Engine.next_move."""
+    omega_star recomputed from the state, the local rules as the table of
+    functions they were before the engine evaluated them in one pass.
+    Returns (node id, rule, word counts) or (status, reason), like
+    _Engine.next_move."""
+
+    def _overdrawn(state: PuzzleState, i: int, caps: tuple[int, ...]) -> bool:
+        """Node i needs more than its surroundings can still hold: no word exists."""
+        return state._res[i] > sum(caps)
+
+    def _saturate(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        return caps if state._res[i] == sum(caps) else None
+
+    def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        slots = [s for s, link in enumerate(state.grid._links[i]) if link]
+        return _toward(slots[0], state._res[i]) if len(slots) == 1 else None
+
+    # Read after _single_neighbor, which claims the nodes with one neighbor.
+    def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        res = state._res
+        slots = [s for s, link in enumerate(state.grid._links[i]) if link and res[link[0]]]
+        return _toward(slots[0], res[i]) if len(slots) == 1 else None
+
+    _LOCAL_RULES = (
+        (TauRule.R1_FULL_SATURATION, _saturate),
+        (TauRule.R2_SINGLE_NEIGHBOR, _single_neighbor),
+        (TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, _one_open_neighbor),
+    )
+
     grid = state.grid
     incomplete = [i for i, r in enumerate(state._res) if r > 0]
     if not incomplete:
@@ -343,6 +406,7 @@ class TestIncrementalEngine:
                 state = engine.state
                 fresh = _Engine(state)
                 assert (engine.caps, engine.over, engine.forced) == (fresh.caps, fresh.over, fresh.forced)
+                assert engine.blocked == fresh.blocked
                 incomplete = [i for i, caps in enumerate(engine.caps) if caps is not None]
                 if not incomplete:
                     break
@@ -384,18 +448,19 @@ class TestIncrementalEngine:
 
     def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
         # Every interior node of a k=1 chain of magnitude-2 nodes is
-        # saturated, so the engine solves it with 1199 R1 steps. Recomputing
-        # every node's capacity per step made this quadratic.
+        # saturated, so the engine solves it with 1199 R1 steps. Re-examining
+        # every node's capacity and rules per step made this quadratic; a
+        # step re-examines only the few nodes around it.
         n = 1200
         g = NumberedGrid(1, [node(i, 0, 1 if i in (0, n - 1) else 2) for i in range(n)])
         calls = [0]
-        capacity = PuzzleState._capacity
+        revise = _Engine._revise
 
-        def counted(state, i):
+        def counted(engine, i):
             calls[0] += 1
-            return capacity(state, i)
+            return revise(engine, i)
 
-        monkeypatch.setattr(PuzzleState, "_capacity", counted)
+        monkeypatch.setattr(_Engine, "_revise", counted)
         out = run_tau(g)
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
-        assert calls[0] <= 5 * n
+        assert calls[0] <= 6 * n
