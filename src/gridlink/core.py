@@ -11,6 +11,8 @@ tables are a 4-slot link table per node, the endpoints of each edge, and
 the ids of the edges crossing each edge. PuzzleState keeps multiplicities
 by edge id and residuals by node id, and words, tau and the oracle read
 these tables. Coordinate, EdgeKey and Node appear only at the API edge.
+Connected components are kept by one routine, _Components, which the
+verifier, the word test and the generator share.
 
 All types here are immutable values: operations that change a state return a
 new one, which keeps speculative application and rollback cheap for the
@@ -25,7 +27,7 @@ from enum import IntEnum
 from functools import cached_property
 from itertools import compress
 from operator import getitem
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class GridError(Exception):
@@ -484,25 +486,34 @@ class SolvedCheck:
         return self.ok
 
 
-def _component_ids(grid: NumberedGrid, mult: Sequence[int]) -> Iterator[list[int]]:
-    """Connected components of the node ids under the edges whose
-    multiplicity in mult (indexed by edge id) is positive.
+class _Components:
+    """Connected components of a grid's node ids, merged by union.
 
-    Components come in the order of their lowest node id, which is listed
-    first; nodes without connections appear as singleton components.
+    label[c] names the component of node id c, and members[j] lists the
+    node ids of component j. union relabels the smaller side, so a node is
+    relabeled O(log n) times over any run of unions. Given a multiplicity
+    vector (indexed by edge id), the constructor unions its positive edges.
     """
-    seen = [False] * len(grid.nodes)
-    for start in range(len(grid.nodes)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for c in comp:  # comp grows while it is walked
-            for q, e in filter(None, grid._links[c]):
-                if mult[e] and not seen[q]:
-                    seen[q] = True
-                    comp.append(q)
-        yield comp
+
+    __slots__ = ("label", "members")
+
+    def __init__(self, grid: NumberedGrid, mult: Sequence[int] = ()) -> None:
+        self.label = list(range(len(grid.nodes)))
+        self.members = {c: [c] for c in self.label}
+        for a, b in compress(grid._ends, mult):
+            self.union(a, b)
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the components of node ids a and b; returns the merged label."""
+        label, members = self.label, self.members
+        keep, gone = label[a], label[b]
+        if keep != gone:
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            for c in members[gone]:
+                label[c] = keep
+            members[keep] += members.pop(gone)
+        return keep
 
 
 def is_solved(state: PuzzleState) -> SolvedCheck:
@@ -519,8 +530,8 @@ def is_solved(state: PuzzleState) -> SolvedCheck:
             return SolvedCheck(
                 False, f"incomplete node at {n.coord}: degree {n.magnitude - r} != magnitude {n.magnitude}"
             )
-    components = _component_ids(grid, state._mult)
-    if len(next(components)) != len(grid.nodes):
-        outside = grid.nodes[next(components)[0]].coord
-        return SolvedCheck(False, f"disconnected: node at {outside} is unreachable")
+    comps = _Components(grid, state._mult)
+    if len(comps.members) > 1:
+        outside = next(c for c, j in enumerate(comps.label) if j != comps.label[0])
+        return SolvedCheck(False, f"disconnected: node at {grid.nodes[outside].coord} is unreachable")
     return SolvedCheck(True)

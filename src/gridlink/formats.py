@@ -29,6 +29,8 @@ from .words import count_configs
 
 # render_board draws every lattice cell, and sparse boards can span billions.
 _MAX_BOARD_CELLS = 10**6
+# count_table's cost grows about as k_max^4: past this bound it takes seconds.
+_MAX_TABLE_K = 32
 
 
 class ParseError(ValueError):
@@ -221,12 +223,12 @@ def count_table(r: int, k_max: int, csv: bool = False) -> str:
 
     Rows are k = 1..k_max, columns are magnitudes n = 0..r*k_max; cells past
     n = r*k stay blank. Each row flags its maximum (at the midpoint
-    floor(r*k/2), twinned when r*k is odd).
+    floor(r*k/2), twinned when r*k is odd). k_max is at most _MAX_TABLE_K.
     """
     if not 1 <= r <= 4:
         raise ValueError(f"neighbor count must be in 1..4, got {r}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= _MAX_TABLE_K:
+        raise ValueError(f"k_max must be in 1..{_MAX_TABLE_K}, got {k_max}")
     n_max = r * k_max
     rows = []
     for k in range(1, k_max + 1):

@@ -19,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, Node, NumberedGrid, _relabeled
+from .core import Coordinate, Node, NumberedGrid, _Components, _relabeled
 from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
@@ -243,28 +243,16 @@ def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optio
     order = list(range(len(ends)))
     rng.shuffle(order)
 
-    parent = list(range(len(coords)))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    comps = _Components(probe)
     chosen: dict[int, int] = {}
-    components = len(coords)
     for e in order:
-        if components == 1:
+        if len(comps.members) == 1:
             break
-        ra, rb = find(ends[e][0]), find(ends[e][1])
-        if ra == rb:
-            continue
-        if any(f in chosen for f in crossing[e]):
-            continue
-        chosen[e] = 1
-        parent[ra] = rb
-        components -= 1
-    if components > 1:
+        a, b = ends[e]
+        if comps.label[a] != comps.label[b] and not any(f in chosen for f in crossing[e]):
+            chosen[e] = 1
+            comps.union(a, b)
+    if len(comps.members) > 1:
         return None
 
     # Thicken the tree into a multigraph: extra strands on used pairs and

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Direction, Node, PuzzleState, _component_ids
+from .core import Direction, Node, PuzzleState, _Components
 
 
 class NoConfigurationsError(ValueError):
@@ -169,35 +169,24 @@ def count_configs(n: int, r: int, k: int) -> int:
     return coeffs[n]
 
 
-class _Context:
+class _Context(_Components):
     """What the word test reads of a state besides residuals and capacities.
 
-    label maps each incomplete node id to its component; sums and sizes
-    give each component's residual sum and node count, and members its
-    incomplete node ids (in a context carried by join, possibly with some
-    that completed since). A completed node's label is never read: a word
-    uses only incomplete neighbors. dead is the verdict that rules out every
-    word at once: a completed component does not span the grid, or an
+    The components of the state's positive edges, as in _Components, plus
+    sums, each component's residual sum. dead is the verdict that rules out
+    every word at once: a completed component does not span the grid, or an
     incomplete node has only completed neighbors (it is starved). Once true
     it stays true, as residuals only fall and a completed node takes no
     connection.
     """
 
-    __slots__ = ("label", "members", "sums", "sizes", "dead", "bound")
+    __slots__ = ("sums", "dead", "bound")
 
     def __init__(self, state: PuzzleState) -> None:
         grid, res = state.grid, state._res
-        self.label = [0] * len(res)
-        self.members: dict[int, list[int]] = {}
-        self.sums: dict[int, int] = {}
-        self.sizes: dict[int, int] = {}
-        for j, comp in enumerate(_component_ids(grid, state._mult)):
-            for c in comp:
-                self.label[c] = j
-            self.members[j] = [c for c in comp if res[c]]
-            self.sums[j] = sum(res[c] for c in comp)
-            self.sizes[j] = len(comp)
-        self.dead = any(not s and self.sizes[j] < len(res) for j, s in self.sums.items()) or any(
+        super().__init__(grid, state._mult)
+        self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
+        self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(
             r and all(not res[q] for q, _ in filter(None, links)) for r, links in zip(res, grid._links)
         )
         # A word at node id i seals a component only if the residual sums it
@@ -216,22 +205,16 @@ class _Context:
         And where a word sealed a part before the step, or would seal with a
         node of the step left incomplete, i neighbors a node of the step.
         """
-        label, members, sums, sizes = self.label, self.members, self.sums, self.sizes
-        parts = {label[c] for c in nodes}
-        keep = max(parts, key=lambda j: len(members[j]))
-        for j in parts - {keep}:
-            for c in members[j]:
-                label[c] = keep
-            members[keep] += members.pop(j)
-            sums[keep] += sums.pop(j)
-            sizes[keep] += sizes.pop(j)
-        sums[keep] -= spent
-        members[keep] = [c for c in members[keep] if state._res[c]]
+        total = sum(self.sums.pop(j) for j in {self.label[c] for c in nodes}) - spent
+        for c in nodes:
+            keep = self.union(nodes[0], c)
+        self.sums[keep] = total
+        members = self.members[keep]
         # Starved nodes are not looked for: one has no capacity left, so the
         # engine's over-capacity check reports it before any word test runs.
-        if not sums[keep] and sizes[keep] < len(label):
+        if not total and len(members) < len(self.label):
             self.dead = True
-        return members[keep] if sums[keep] <= self.bound else []
+        return [c for c in members if state._res[c]] if total <= self.bound else []
 
 
 def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -251,7 +234,7 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
     components.
     """
     residual, links = state._res, state.grid._links
-    label, sums, sizes = ctx.label, ctx.sums, ctx.sizes
+    label, members, sums = ctx.label, ctx.members, ctx.sums
     res, total = residual[i], len(residual)
     # A word starves the neighbor in a lonely slot unless it completes it,
     # and a node two links away if it completes every slot of its cut.
@@ -274,7 +257,7 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
     survivors = []
     for counts in _spread(res, caps):
         merged = {label[i]}.union([j for s, j in labels if counts[s]])
-        if sum(sums[j] for j in merged) == 2 * res and sum(sizes[j] for j in merged) < total:
+        if sum(sums[j] for j in merged) == 2 * res and sum(len(members[j]) for j in merged) < total:
             continue
         if any(counts[s] < left[s] for s in lonely):
             continue
@@ -318,13 +301,9 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
 
     An empty result is meaningful: the state admits no completion of p.
     """
-    if state.residual(p) < 1:
-        raise ValueError(f"node at {p.coord} is already complete")
-    ctx = _Context(state)
-    if ctx.dead:
-        return WordSet.empty()
-    i = state.grid._index[p.coord]
-    return WordSet(tuple([ConfigWord(*w) for w in _feasible(state, ctx, i, state._capacity(i))]))
+    ctx, i = _context_at(state, p)
+    words = [] if ctx.dead else _feasible(state, ctx, i, state._capacity(i))
+    return WordSet(tuple([ConfigWord(*w) for w in words]))
 
 
 def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
@@ -335,7 +314,13 @@ def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
     None when no feasible word exists at all -- the state cannot be extended
     to complete p, so no solution extends this state.
     """
-    feasible = enumerate_feasible(state, p)
-    if not len(feasible):
-        return None
-    return ConfigWord.from_counts(map(min, zip(*(w.counts for w in feasible))))
+    ctx, i = _context_at(state, p)
+    w = None if ctx.dead else _guaranteed(state, ctx, i, state._capacity(i))
+    return None if w is None else ConfigWord(*w)
+
+
+def _context_at(state: PuzzleState, p: Node) -> tuple[_Context, int]:
+    """A fresh context of state, and p's node id; p must be incomplete."""
+    if state.residual(p) < 1:
+        raise ValueError(f"node at {p.coord} is already complete")
+    return _Context(state), state.grid._index[p.coord]

@@ -193,6 +193,13 @@ class TestSubprocessInvocation:
         rows = [line.split(",") for line in r.stdout.strip().splitlines()]
         assert rows[2][1 + 7] == "4"
 
+    def test_count_table_refuses_a_k_max_too_large_to_tabulate(self):
+        # The table's cost grows about as k_max^4; 10^6 must fail fast.
+        r = self.run("count-table", "--neighbors", 4, "--k-max", 1000000, timeout=10)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
 
 # Puzzles beside the fixtures, for the verdicts the fixtures do not reach:
 # a screen violation (odd magnitude sum) and a grid that passes the screens

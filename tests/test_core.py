@@ -27,6 +27,7 @@ from gridlink import (
     node,
     segments_cross,
 )
+from gridlink.core import _Components
 
 
 def edge(x1, y1, x2, y2):
@@ -283,7 +284,18 @@ class TestIsSolved:
         s = s.add_connections(edge(0, 1, 1, 1), 2)
         check = is_solved(s)
         assert not check
-        assert "disconnected" in check.reason
+        assert check.reason == "disconnected: node at (0, 1) is unreachable"
+
+    def test_three_columns_name_the_lowest_unreachable_node(self):
+        # Three vertical pairs; node ids run row-major, so the lowest id
+        # outside node (0, 0)'s column is (1, 0), not the next column's top.
+        g = NumberedGrid(1, [node(x, y, 1) for y in (0, 1) for x in (0, 1, 2)])
+        s = PuzzleState.empty(g)
+        for x in (0, 1, 2):
+            s = s.add_connections(edge(x, 0, x, 1), 1)
+        check = is_solved(s)
+        assert not check
+        assert check.reason == "disconnected: node at (1, 0) is unreachable"
 
     def test_incomplete_node_reported_with_witness(self):
         g = NumberedGrid(2, [node(0, 0, 2), node(1, 0, 1)])
@@ -301,3 +313,43 @@ class TestIsSolved:
             s = s.add_connections(e, 1)
         assert is_solved(s)
         assert g.total_magnitude() == 2 * s.total_multiplicity()
+
+
+def bfs_partition(grid, edge_ids):
+    """The node-id partition under the given edge ids, by breadth-first search."""
+    adjacent = [set() for _ in grid.nodes]
+    for e in edge_ids:
+        a, b = grid._ends[e]
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    parts, seen = set(), set()
+    for start in range(len(grid.nodes)):
+        if start not in seen:
+            comp = frontier = {start}
+            while frontier:
+                frontier = {q for c in frontier for q in adjacent[c]} - comp
+                comp = comp | frontier
+            seen |= comp
+            parts.add(frozenset(comp))
+    return parts
+
+
+class TestComponents:
+    @settings(max_examples=100, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=24), st.data())
+    def test_partition_matches_breadth_first_search_in_any_union_order(self, coords, data):
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+        order = data.draw(st.permutations(range(len(g._ends))))
+        chosen = order[: data.draw(st.integers(0, len(order)))]
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        expected = bfs_partition(g, chosen)
+
+        comps = _Components(g)
+        for e, flip in zip(chosen, flips):
+            a, b = g._ends[e][::-1] if flip else g._ends[e]
+            j = comps.union(a, b)
+            assert comps.label[a] == comps.label[b] == j
+        mult = [int(e in chosen) for e in range(len(g._ends))]
+        for built in (comps, _Components(g, mult)):
+            assert {frozenset(m) for m in built.members.values()} == expected
+            assert all(built.label[c] == j for j, m in built.members.items() for c in m)

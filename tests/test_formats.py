@@ -228,3 +228,8 @@ class TestCountTable:
         text = count_table(4, 2, csv=False)
         assert "*" in text
         assert "max" in text
+
+    @pytest.mark.parametrize("k_max", [0, 33, 10**6])
+    def test_k_max_outside_one_to_32_is_refused(self, k_max):
+        with pytest.raises(ValueError, match=r"k_max must be in 1\.\.32"):
+            count_table(4, k_max)

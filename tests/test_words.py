@@ -26,7 +26,6 @@ from gridlink import (
     omega_star,
     word_meet,
 )
-from gridlink.core import _component_ids
 from gridlink.words import _Context
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
@@ -167,12 +166,20 @@ def fitting_words(state, p, n):
 
 def components(grid, edges):
     """Connected components of the node set under the given edges, as
-    coordinate sets."""
-    mult = [0] * len(grid._ends)
+    coordinate sets, by breadth-first search over the edge keys."""
+    adjacent = {n.coord: set() for n in grid.nodes}
     for e in edges:
-        mult[grid._edge_id(e)] = 1
-    for comp in _component_ids(grid, mult):
-        yield {grid.nodes[i].coord for i in comp}
+        adjacent[e.a].add(e.b)
+        adjacent[e.b].add(e.a)
+    seen = set()
+    for start in adjacent:
+        if start not in seen:
+            comp = frontier = {start}
+            while frontier:
+                frontier = {q for c in frontier for q in adjacent[c]} - comp
+                comp = comp | frontier
+            seen |= comp
+            yield comp
 
 
 def whole_state_feasible(state, p):
@@ -227,8 +234,8 @@ class TestContext:
     def test_join_reads_like_a_fresh_context(self):
         # The engine carries one context across its steps through join.
         # After any step it must hold the components of a context built
-        # afresh, for the incomplete nodes, and the sealed verdict; the
-        # starved one it leaves to the engine's over-capacity check.
+        # afresh, for every node, and the sealed verdict; the starved one
+        # it leaves to the engine's over-capacity check.
         rng = Random(9)
         steps = sealed = reported = 0
         for seed in range(150):
@@ -259,16 +266,16 @@ class TestContext:
                 changed = ctx.join(state, touched, 2 * w.length)
                 fresh = _Context(state)
                 open_ids = [c for c, r in enumerate(state._res) if r]
-                pairs = {(ctx.label[c], fresh.label[c]) for c in open_ids}
+                pairs = {(ctx.label[c], fresh.label[c]) for c in range(len(g.nodes))}
                 assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
-                for c in open_ids:
+                for c in range(len(g.nodes)):
                     assert ctx.sums[ctx.label[c]] == fresh.sums[fresh.label[c]]
-                    assert ctx.sizes[ctx.label[c]] == fresh.sizes[fresh.label[c]]
+                    assert len(ctx.members[ctx.label[c]]) == len(fresh.members[fresh.label[c]])
                     assert c in ctx.members[ctx.label[c]]
                 j = fresh.label[i]
                 merged = [c for c in open_ids if fresh.label[c] == j]
                 assert sorted(changed) == (merged if fresh.sums[j] <= ctx.bound else [])
-                is_sealed = any(not v and fresh.sizes[x] < len(g.nodes) for x, v in fresh.sums.items())
+                is_sealed = any(not v and len(fresh.members[x]) < len(g.nodes) for x, v in fresh.sums.items())
                 assert ctx.dead == is_sealed
                 steps += 1
                 sealed += is_sealed
