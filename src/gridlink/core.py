@@ -15,8 +15,8 @@ Connected components are kept by one routine, _Components, which the
 verifier, the word test and the generator share.
 
 All types here are immutable values: operations that change a state return a
-new one, which keeps speculative application and rollback cheap for the
-propagation engine and the exhaustive solver.
+new one. Nothing rolls a state back: the propagation engine only moves
+forward, one new state per step, and the enumerator keeps its own arrays.
 """
 
 from __future__ import annotations
@@ -233,9 +233,6 @@ class NumberedGrid:
         links = self._links[self._index[p.coord]]
         return {d: self.nodes[link[0]] for d, link in zip(Direction, links) if link is not None}
 
-    def neighbor_count(self, p: Node) -> int:
-        return 4 - self._links[self._index[p.coord]].count(None)
-
     def _edge_id(self, e: EdgeKey) -> Optional[int]:
         """The id of e, or None when e does not join neighboring nodes."""
         a, b = self._index.get(e.a), self._index.get(e.b)
@@ -378,9 +375,6 @@ class PuzzleState:
     def residual(self, p: Node) -> int:
         return self._res[self.grid._index[p.coord]]
 
-    def completed(self, p: Node) -> bool:
-        return self.residual(p) == 0
-
     def connections(self) -> dict[EdgeKey, int]:
         """The positive-multiplicity edges, in canonical order."""
         edges = self.grid.all_edges
@@ -388,9 +382,6 @@ class PuzzleState:
 
     def sorted_items(self) -> tuple[tuple[EdgeKey, int], ...]:
         return tuple(self.connections().items())
-
-    def total_multiplicity(self) -> int:
-        return sum(self._mult)
 
     def add_connections(self, e: EdgeKey, m: int) -> "PuzzleState":
         """Return a new state with m extra connections on e.

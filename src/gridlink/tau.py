@@ -27,7 +27,8 @@ same nodes, of the nodes within three links of a node it completes, and of
 the nodes near a component it leaves with a small residual sum
 (_Engine.apply and words._Context.join say why). The stall search
 (_stalls_at_start, used by oracle.find_stall_witness) reads the same
-bookkeeping on the empty state, so a change to a rule reaches both.
+bookkeeping on the empty state and consumes the same R4 pass, _Engine._words,
+so a change to a rule reaches both.
 
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
@@ -103,19 +104,15 @@ def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
     zero word is the identity. Capacity, residual, and crossing violations
     propagate from the underlying connection bookkeeping.
     """
-    for e, c in _word_edges(state.grid, p, word):
-        state = state.add_connections(e, c)
+    grid = state.grid
+    links = grid._links[grid._index[p.coord]]
+    for d, link, c in zip(Direction, links, word.counts):
+        if c and link is None:
+            raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
+    for link, c in zip(links, word.counts):
+        if c:
+            state = state.add_connections(grid.all_edges[link[1]], c)
     return state
-
-
-def _word_edges(grid: NumberedGrid, p: Node, word: ConfigWord) -> tuple[tuple[EdgeKey, int], ...]:
-    out = []
-    for d, link, c in zip(Direction, grid._links[grid._index[p.coord]], word.counts):
-        if c > 0:
-            if link is None:
-                raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
-            out.append((grid.all_edges[link[1]], c))
-    return tuple(out)
 
 
 def _toward(slot: int, m: int) -> tuple[int, ...]:
@@ -213,21 +210,31 @@ class _Engine:
             return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
         return self._omega_move()
 
+    def _words(self):
+        """The R4 pass: each incomplete node id with its omega_star counts,
+        kept or computed on demand, in id order; once the context proves the
+        state dead, (id, None) for the first incomplete node, and no more."""
+        if self.ctx is None:
+            self.ctx = _Context(self.state)
+        state, ctx, kept = self.state, self.ctx, self.guaranteed
+        for i, caps in enumerate(self.caps):
+            if caps is None:
+                continue
+            if ctx.dead:
+                yield i, None
+                return
+            if i not in kept:
+                kept[i] = _guaranteed(state, ctx, i, caps)
+            yield i, kept[i]
+
     def _omega_move(self):
         """R4: the omega_star word of the incomplete node with the least
         (neighbor count, -distance of its residual from floor(r*k/2), id);
         the first incomplete node without a feasible word proves the state
         unsolvable."""
-        if self.ctx is None:
-            self.ctx = _Context(self.state)
-        state, grid, ctx = self.state, self.state.grid, self.ctx
+        state, grid = self.state, self.state.grid
         best = None
-        for i, caps in enumerate(self.caps):
-            if caps is None:
-                continue
-            if i not in self.guaranteed and not ctx.dead:
-                self.guaranteed[i] = _guaranteed(state, ctx, i, caps)
-            w = None if ctx.dead else self.guaranteed[i]
+        for i, w in self._words():
             if w is None:
                 return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
             if any(w):
@@ -318,29 +325,21 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        n, word = grid.nodes[i], ConfigWord.from_counts(counts)
-        edges = _word_edges(grid, n, word)
+        edges = tuple((grid.all_edges[link[1]], m) for link, m in zip(grid._links[i], counts) if m)
         engine.apply(i, counts)
-        trace.append(TauStep(n.coord, rule, word, edges, engine.state.digest()))
+        trace.append(TauStep(grid.nodes[i].coord, rule, ConfigWord.from_counts(counts), edges, engine.state.digest()))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:
     """True when run_tau stalls on the grid without drawing a connection.
 
     Reads the engine's bookkeeping on the empty state: no over-capacity
-    check or local rule may fire, and every node's omega_star must be the
-    zero word, which is computed node by node until one is not.
+    check or local rule may fire, and the engine's R4 pass must give every
+    node the zero word; it stops at the first node that has another or none.
     """
     if screen(grid).unsolvable:
         return False
     engine = _Engine(PuzzleState.empty(grid))
     if engine.over or any(engine.forced):
         return False
-    ctx = _Context(engine.state)
-    if ctx.dead:
-        return False
-    for i, caps in enumerate(engine.caps):
-        w = _guaranteed(engine.state, ctx, i, caps)
-        if w is None or any(w):
-            return False
-    return True
+    return all(w is not None and not any(w) for _, w in engine._words())

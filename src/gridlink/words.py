@@ -53,10 +53,6 @@ class ConfigWord:
     def count(self, d: Direction) -> int:
         return self.counts[d - 1]
 
-    def dominates(self, other: "ConfigWord") -> bool:
-        """True iff every component of self is >= the matching one in other."""
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
     @classmethod
     def zero(cls) -> "ConfigWord":
         return cls(0, 0, 0, 0)
@@ -95,14 +91,6 @@ class WordSet:
 
     words: tuple[ConfigWord, ...]
 
-    @classmethod
-    def from_words(cls, words: Iterable[ConfigWord]) -> "WordSet":
-        return cls(tuple(sorted(set(words))))
-
-    @classmethod
-    def empty(cls) -> "WordSet":
-        return cls(())
-
     def __iter__(self) -> Iterator[ConfigWord]:
         return iter(self.words)
 
@@ -111,9 +99,6 @@ class WordSet:
 
     def __contains__(self, w: ConfigWord) -> bool:
         return w in self.words
-
-    def counts_set(self) -> frozenset[tuple[int, int, int, int]]:
-        return frozenset(w.counts for w in self.words)
 
 
 def enumerate_phi_k(n: int, k: int) -> WordSet:

@@ -27,6 +27,7 @@ from gridlink import (
     parse_puzzle,
     run_tau,
 )
+import gridlink.tau as tau_module
 from gridlink.tau import _Engine, _stalls_at_start, _toward
 from gridlink.words import _Context
 
@@ -71,7 +72,7 @@ class TestRunTau:
         assert out.status is TauStatus.SOLVED
         assert len(out.trace) == 1
         assert out.trace[0].rule in (TauRule.R1_FULL_SATURATION, TauRule.R2_SINGLE_NEIGHBOR)
-        assert out.final_state.total_multiplicity() == 1
+        assert sum(out.final_state.connections().values()) == 1
 
     def test_double_pair_solved(self):
         g = NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2)])
@@ -193,6 +194,66 @@ class TestStallProbe:
             assert _stalls_at_start(g) == expected, g.nodes
             flagged += expected
         assert flagged >= 2
+
+    def test_probe_stops_at_the_first_word_that_is_not_zero(self, monkeypatch):
+        # The probe consumes the engine's R4 pass only until a node has a
+        # non-zero word, where a full pass (as next_move makes) tests every
+        # node; this early exit is why the probe does not call next_move.
+        g = generate(GenSpec(26640, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
+        calls = [0]
+        guaranteed = tau_module._guaranteed
+
+        def counted(*args):
+            calls[0] += 1
+            return guaranteed(*args)
+
+        monkeypatch.setattr(tau_module, "_guaranteed", counted)
+        assert not _stalls_at_start(g)
+        assert calls[0] == 1
+        calls[0] = 0
+        move = _Engine(PuzzleState.empty(g)).next_move()
+        assert move[1] is TauRule.R4_OMEGA_STAR
+        assert calls[0] == len(g.nodes) == 12
+
+
+def assert_within_every_solution(g, out, sols):
+    """Each connection the engine drew is at most the same edge's in every
+    solution found, and a SOLVED outcome is the only solution."""
+    drawn = out.final_state.connections()
+    assert sols.solutions, g.nodes
+    for solution in sols.solutions:
+        assert all(m <= solution.get(e, 0) for e, m in drawn.items()), g.nodes
+    if out.status is TauStatus.SOLVED:
+        assert len(sols) == 1 and sols.exhausted and sols.solutions[0] == drawn
+
+
+class TestSoundnessBeyond4x4:
+    # Constructive lattices where the enumerator stays fast at limit=2.
+    SWEEP = [
+        (8, 8, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+        (8, 8, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+        (10, 10, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(12)),
+        (12, 12, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION, range(6)),
+    ]
+
+    @pytest.mark.parametrize("seed, size, steps", [(17, 8, 17), (19, 10, 27)])
+    def test_stall_witness_on_a_unique_grid(self, seed, size, steps):
+        # The engine stalls on these grids though each has one solution.
+        g = generate(GenSpec(seed, size, size, 0.6, 1, GenMode.SOLVABLE_BY_CONSTRUCTION))
+        sols = enumerate_solutions(g, limit=2)
+        assert len(sols) == 1 and sols.exhausted
+        out = run_tau(g)
+        assert out.status is TauStatus.STALLED and len(out.trace) == steps
+        assert_within_every_solution(g, out, sols)
+
+    def test_drawn_connections_lie_within_every_solution(self):
+        grids, statuses = generated(self.SWEEP), set()
+        assert len(grids) == 42
+        for g in grids:
+            out = run_tau(g)
+            assert_within_every_solution(g, out, enumerate_solutions(g, limit=2))
+            statuses.add(out.status)
+        assert statuses == {TauStatus.SOLVED, TauStatus.STALLED}
 
 
 # Generated grids that reach every status, both of the engine's own
