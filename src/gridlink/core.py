@@ -15,8 +15,8 @@ Connected components are kept by one routine, _Components, which the
 verifier, the word test and the generator share.
 
 All types here are immutable values: operations that change a state return a
-new one. Nothing rolls a state back: the propagation engine only moves
-forward, one new state per step, and the enumerator keeps its own arrays.
+new one. The propagation engine and the enumerator step vectors of their own
+in place; the engine builds a PuzzleState only where it returns one.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ class NumberedGrid:
     @cached_property
     def _digest_prefix(self):
         """sha256 object fed the grid's part of every state digest, which
-        PuzzleState.digest copies."""
+        _digest copies."""
         import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
         parts = [f"k={self.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.nodes]
         return hashlib.sha256(";".join(parts).encode("ascii"))
@@ -407,17 +407,11 @@ class PuzzleState:
             for j in grid._crossings[i]:
                 if self._mult[j]:
                     raise CrossingViolation(f"{e} crosses {grid.all_edges[j]}")
-        return self._add(i, m)
-
-    def _add(self, i: int, m: int) -> "PuzzleState":
-        """A new state with m extra connections on edge id i, unchecked."""
         mult, res = list(self._mult), list(self._res)
         mult[i] += m
-        for a in self.grid._ends[i]:
+        for a in grid._ends[i]:
             res[a] -= m
-        new = object.__new__(PuzzleState)
-        new.grid, new._mult, new._res = self.grid, tuple(mult), tuple(res)
-        return new
+        return _state(grid, mult, res)
 
     def remaining_capacity(self, p: Node) -> dict[Direction, int]:
         """Connections still addable from p in each direction.
@@ -447,12 +441,7 @@ class PuzzleState:
         digits of the sha256 of "k=K", then ";n:x,y,magnitude" per node in
         row-major order, then ";e:ax,ay,bx,by,m" per connected edge in
         canonical order, in ASCII."""
-        grid = self.grid
-        h = grid._digest_prefix.copy()
-        mult = self._mult
-        by_mult = map(grid._digest_entries.__getitem__, filter(None, mult))
-        h.update("".join(map(getitem, by_mult, compress(range(len(mult)), mult))).encode("ascii"))
-        return h.hexdigest()[:16]
+        return _digest(self.grid, self._mult)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuzzleState):
@@ -464,6 +453,22 @@ class PuzzleState:
 
     def __repr__(self) -> str:
         return f"PuzzleState({self.grid!r}, edges={len(self._mult) - self._mult.count(0)})"
+
+
+def _state(grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> PuzzleState:
+    """A state over grid with multiplicities mult by edge id and residuals
+    res by node id, unchecked."""
+    state = object.__new__(PuzzleState)
+    state.grid, state._mult, state._res = grid, tuple(mult), tuple(res)
+    return state
+
+
+def _digest(grid: NumberedGrid, mult: Sequence[int]) -> str:
+    """PuzzleState.digest of the state over grid with multiplicities mult."""
+    h = grid._digest_prefix.copy()
+    by_mult = map(grid._digest_entries.__getitem__, filter(None, mult))
+    h.update("".join(map(getitem, by_mult, compress(range(len(mult)), mult))).encode("ascii"))
+    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ R1-R3 are local: each reads one node, its neighbors' residuals and its
 remaining capacity. _Engine._revise evaluates all three in one pass over
 the capacity it computes, next to the over-capacity check that proves a
 node dead. run_tau loops over the step function of an _Engine, which
-carries its bookkeeping from step to step: each incomplete node's capacity,
-the edges a positive edge crosses, the nodes where the over-capacity check
-and each rule fire, the word test's component context, and each node's
-omega_star as far as computed. The next move is the lowest node id of the
-first non-empty set, in rule order, and R4 reads the kept omega_star words.
+steps its own multiplicity and residual vectors in place and carries its
+bookkeeping from step to step: each incomplete node's capacity, the edges
+a positive edge crosses, the nodes where the over-capacity check and each
+rule fire, the word test's component context, and each node's omega_star
+as far as computed. The next move is the lowest node id of the first
+non-empty table, in rule order, and R4 reads the kept omega_star words.
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, their neighbors and the ends of the edges crossing an
 edge it opens; and, when omega_star words are kept, it drops those of the
@@ -49,6 +50,8 @@ from .core import (
     Node,
     NumberedGrid,
     PuzzleState,
+    _digest,
+    _state,
     is_solved,
 )
 from .screens import ScreenReport, screen
@@ -62,8 +65,8 @@ class TauRule(Enum):
     R4_OMEGA_STAR = "R4_OmegaStar"
 
 
-# The rules _Engine evaluates in _revise, in the order of its forced tables.
-_RULE_ORDER = tuple(TauRule)[:3]
+# The checks behind _Engine.fires, in order: over-capacity (None), then R1-R3.
+_RULE_ORDER = (None,) + tuple(TauRule)[:3]
 
 
 class TauStatus(Enum):
@@ -90,10 +93,6 @@ class TauOutcome:
     trace: tuple[TauStep, ...]
     reason: Optional[str] = None
     screen_report: Optional[ScreenReport] = None
-
-    @property
-    def solved(self) -> bool:
-        return self.status is TauStatus.SOLVED
 
 
 def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
@@ -122,26 +121,26 @@ def _toward(slot: int, m: int) -> tuple[int, ...]:
 
 
 class _Engine:
-    """The engine's bookkeeping for its current state, carried across steps.
+    """The engine's working state and its bookkeeping, carried across steps.
 
-    caps holds each node id's capacity per direction (None once the node is
-    completed); over the nodes where the over-capacity check fires; forced,
-    per local rule, the word counts the rule forces at each node where it
-    fires; blocked, per edge id, whether a positive edge crosses it; ctx the
-    word test's context, built when R4 first needs it; and guaranteed each
-    node's omega_star counts (None for no feasible word), as far as computed
-    since then.
+    mult and res are the state's vectors, by edge id and node id, which
+    apply steps in place. caps holds each node id's capacity per direction
+    (None once the node is completed); fires, per check in _RULE_ORDER, maps
+    each node id where it fires to its counts (the caps for over-capacity,
+    the forced word for a rule); blocked, per edge id, whether a positive
+    edge crosses it; ctx the word test's context, built when R4 first needs
+    it; and guaranteed each node's omega_star counts (None for no feasible
+    word), as far as computed since then.
     """
 
     def __init__(self, state: PuzzleState) -> None:
-        grid, mult = state.grid, state._mult
-        self.state = state
-        self.caps: list[Optional[tuple[int, ...]]] = [None] * len(state._res)
-        self.over: set[int] = set()
-        self.forced: list[dict[int, tuple[int, ...]]] = [{}, {}, {}]
+        grid = self.grid = state.grid
+        self.mult, self.res = list(state._mult), list(state._res)
+        self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
+        self.fires: list[dict[int, tuple[int, ...]]] = [{}, {}, {}, {}]
         # A blocked edge is empty, as positive edges never cross; and
         # multiplicities only grow here, so an edge once blocked stays so.
-        self.blocked = [any(mult[c] for c in crossing) for crossing in grid._crossings]
+        self.blocked = [any(self.mult[c] for c in crossing) for crossing in grid._crossings]
         # R2's slot: the direction of a node's only neighbor, if it has one.
         self.single: list[Optional[int]] = []
         for links in grid._links:
@@ -149,36 +148,36 @@ class _Engine:
             self.single.append(slots[0] if len(slots) == 1 else None)
         self.ctx: Optional[_Context] = None
         self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
-        for i in range(len(state._res)):
+        for i in range(len(self.res)):
             self._revise(i)
+
+    @property
+    def state(self) -> PuzzleState:
+        return _state(self.grid, self.mult, self.res)
 
     def _revise(self, i: int) -> None:
         """Re-evaluate node id i's capacity, the over-capacity check and the
         local rules: R1 when its residual equals its capacity, R2 when it has
         one neighbor, R3 when it has one incomplete neighbor (R2 claims the
         nodes with one neighbor first)."""
-        state, single = self.state, self.single[i]
-        res, mult, k = state._res, state._mult, state.grid.k
-        r, caps, room, words = res[i], None, 0, (None, None, None)
+        res, mult, k, single = self.res, self.mult, self.grid.k, self.single[i]
+        r, caps, words = res[i], None, (None, None, None, None)
         if r:
             caps, open_slots = [0, 0, 0, 0], []
-            for s, link in enumerate(state.grid._links[i]):
+            for s, link in enumerate(self.grid._links[i]):
                 if link and res[link[0]]:
                     open_slots.append(s)
                     if not self.blocked[link[1]]:
                         caps[s] = min(k - mult[link[1]], res[link[0]])
             caps, room = tuple(caps), sum(caps)
             words = (
+                caps if r > room else None,
                 caps if r == room else None,
                 None if single is None else _toward(single, r),
                 _toward(open_slots[0], r) if len(open_slots) == 1 else None,
             )
         self.caps[i] = caps
-        if r > room:
-            self.over.add(i)
-        else:
-            self.over.discard(i)
-        for table, word in zip(self.forced, words):
+        for table, word in zip(self.fires, words):
             if word is None:
                 table.pop(i, None)
             else:
@@ -192,19 +191,17 @@ class _Engine:
         state unsolvable; else the lowest node id where the first local rule
         in table order fires gives the step; else R4 decides.
         """
-        state, grid = self.state, self.state.grid
-        if self.over:
-            i = min(self.over)
-            return TauStatus.UNSOLVABLE, (
-                f"node at {grid.nodes[i].coord} needs {state._res[i]} more connections but only "
-                f"{sum(self.caps[i])} remain available around it"
-            )
-        for rule, table in zip(_RULE_ORDER, self.forced):
+        for rule, table in zip(_RULE_ORDER, self.fires):
             if table:
                 i = min(table)
+                if rule is None:
+                    return TauStatus.UNSOLVABLE, (
+                        f"node at {self.grid.nodes[i].coord} needs {self.res[i]} more connections but only "
+                        f"{sum(table[i])} remain available around it"
+                    )
                 return i, rule, table[i]
-        if not any(state._res):
-            check = is_solved(state)
+        if not any(self.res):
+            check = is_solved(self.state)
             # All nodes completed by forced moves, yet not a solution: the
             # engine cannot certify unsolvability here, only fail to solve.
             return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
@@ -215,8 +212,8 @@ class _Engine:
         kept or computed on demand, in id order; once the context proves the
         state dead, (id, None) for the first incomplete node, and no more."""
         if self.ctx is None:
-            self.ctx = _Context(self.state)
-        state, ctx, kept = self.state, self.ctx, self.guaranteed
+            self.ctx = _Context(self.grid, self.mult, self.res)
+        res, ctx, kept = self.res, self.ctx, self.guaranteed
         for i, caps in enumerate(self.caps):
             if caps is None:
                 continue
@@ -224,7 +221,7 @@ class _Engine:
                 yield i, None
                 return
             if i not in kept:
-                kept[i] = _guaranteed(state, ctx, i, caps)
+                kept[i] = _guaranteed(res, ctx, i, caps)
             yield i, kept[i]
 
     def _omega_move(self):
@@ -232,14 +229,13 @@ class _Engine:
         (neighbor count, -distance of its residual from floor(r*k/2), id);
         the first incomplete node without a feasible word proves the state
         unsolvable."""
-        state, grid = self.state, self.state.grid
-        best = None
+        grid, best = self.grid, None
         for i, w in self._words():
             if w is None:
                 return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
             if any(w):
                 r = 4 - grid._links[i].count(None)
-                key = (r, -abs(state._res[i] - (r * grid.k) // 2), i)
+                key = (r, -abs(self.res[i] - (r * grid.k) // 2), i)
                 if best is None or key < best[0]:
                     best = key, w
         if best is None:
@@ -247,7 +243,7 @@ class _Engine:
         return best[0][2], TauRule.R4_OMEGA_STAR, best[1]
 
     def apply(self, i: int, counts: tuple[int, ...]) -> None:
-        """Apply the word counts at node id i, and re-examine what it changes.
+        """Apply the word counts at node id i in place, and re-examine what it changes.
 
         The residual changes at i and the neighbors the word connects to
         (touched), and the edges crossing an edge the step opened become
@@ -261,17 +257,18 @@ class _Engine:
         neighbors -- all that _feasible reads. With none kept, as on runs
         that need only R1-R3, there is nothing to drop.
         """
-        state, links = self.state, self.state.grid._links
-        crossings, ends, blocked = state.grid._crossings, state.grid._ends, self.blocked
+        mult, res, links = self.mult, self.res, self.grid._links
+        crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
         touched, opened = [i], []
         for link, m in zip(links[i], counts):
             if m:
                 q, e = link
-                if not state._mult[e]:
+                if not mult[e]:
                     opened.append(e)
-                state = state._add(e, m)
+                mult[e] += m
+                res[i] -= m
+                res[q] -= m
                 touched.append(q)
-        self.state = state
 
         def near(nodes):
             return {q for c in nodes for q, _ in filter(None, links[c])}
@@ -283,10 +280,10 @@ class _Engine:
                 revise.update(ends[x])
         for c in revise:
             self._revise(c)
-        joined = self.ctx.join(state, touched, 2 * sum(counts)) if self.ctx else []
+        joined = self.ctx.join(res, touched, 2 * sum(counts)) if self.ctx else []
         if not self.guaranteed:
             return
-        ball = {c for c in touched if not state._res[c]}
+        ball = {c for c in touched if not res[c]}
         frontier = ball
         for _ in range(3):
             frontier = near(frontier) - ball
@@ -327,19 +324,18 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
         i, rule, counts = move
         edges = tuple((grid.all_edges[link[1]], m) for link, m in zip(grid._links[i], counts) if m)
         engine.apply(i, counts)
-        trace.append(TauStep(grid.nodes[i].coord, rule, ConfigWord.from_counts(counts), edges, engine.state.digest()))
+        word = ConfigWord.from_counts(counts)
+        trace.append(TauStep(grid.nodes[i].coord, rule, word, edges, _digest(grid, engine.mult)))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:
     """True when run_tau stalls on the grid without drawing a connection.
 
-    Reads the engine's bookkeeping on the empty state: no over-capacity
-    check or local rule may fire, and the engine's R4 pass must give every
-    node the zero word; it stops at the first node that has another or none.
+    Reads the engine's bookkeeping on the empty state: no table of fires
+    may hold a node, and the engine's R4 pass must give every node the zero
+    word; it stops at the first node that has another or none.
     """
     if screen(grid).unsolvable:
         return False
     engine = _Engine(PuzzleState.empty(grid))
-    if engine.over or any(engine.forced):
-        return False
-    return all(w is not None and not any(w) for _, w in engine._words())
+    return not any(engine.fires) and all(w is not None and not any(w) for _, w in engine._words())

@@ -16,9 +16,9 @@ nodes it changes, not by rebuilding the state the word would leave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Direction, Node, PuzzleState, _Components
+from .core import Direction, Node, NumberedGrid, PuzzleState, _Components
 
 
 class NoConfigurationsError(ValueError):
@@ -97,9 +97,6 @@ class WordSet:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, w: ConfigWord) -> bool:
-        return w in self.words
-
 
 def enumerate_phi_k(n: int, k: int) -> WordSet:
     """All ways to distribute n connections over the four directions, each
@@ -157,19 +154,20 @@ def count_configs(n: int, r: int, k: int) -> int:
 class _Context(_Components):
     """What the word test reads of a state besides residuals and capacities.
 
-    The components of the state's positive edges, as in _Components, plus
-    sums, each component's residual sum. dead is the verdict that rules out
-    every word at once: a completed component does not span the grid, or an
+    The components of the positive edges of mult, as in _Components, plus
+    links, the grid's link table, and sums, each component's sum of the
+    residuals res (by node id). dead is the verdict that rules out every
+    word at once: a completed component does not span the grid, or an
     incomplete node has only completed neighbors (it is starved). Once true
     it stays true, as residuals only fall and a completed node takes no
     connection.
     """
 
-    __slots__ = ("sums", "dead", "bound")
+    __slots__ = ("links", "sums", "dead", "bound")
 
-    def __init__(self, state: PuzzleState) -> None:
-        grid, res = state.grid, state._res
-        super().__init__(grid, state._mult)
+    def __init__(self, grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> None:
+        super().__init__(grid, mult)
+        self.links = grid._links
         self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
         self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(
             r and all(not res[q] for q, _ in filter(None, links)) for r, links in zip(res, grid._links)
@@ -178,9 +176,9 @@ class _Context(_Components):
         # merges add up to twice i's residual, which is at most this.
         self.bound = 2 * max(n.magnitude for n in grid.nodes)
 
-    def join(self, state: PuzzleState, nodes: list[int], spent: int) -> list[int]:
+    def join(self, res: Sequence[int], nodes: list[int], spent: int) -> list[int]:
         """Merge the components of nodes into one, for a step that lowered
-        their residuals by spent in all; state is the state after the step.
+        their residuals by spent in all; res holds the residuals after it.
 
         Returns the incomplete node ids of the merged component when its
         residual sum is at most bound, else none. A word at i seals a
@@ -199,12 +197,13 @@ class _Context(_Components):
         # engine's over-capacity check reports it before any word test runs.
         if not total and len(members) < len(self.label):
             self.dead = True
-        return [c for c in members if state._res[c]] if total <= self.bound else []
+        return [c for c in members if res[c]] if total <= self.bound else []
 
 
-def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The feasible words of node id i, as counts in enumerate_phi_k order,
-    given the state's context (not dead) and i's capacity per direction.
+    given the residual of each node id, the context of those residuals (not
+    dead) and i's capacity per direction.
 
     See enumerate_feasible for the argument. A word completes i and lowers
     the residuals of the neighbors it uses, and of no other node. Two
@@ -218,8 +217,7 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
     labels of i and its neighbors and the sums and sizes of their
     components.
     """
-    residual, links = state._res, state.grid._links
-    label, members, sums = ctx.label, ctx.members, ctx.sums
+    label, members, sums, links = ctx.label, ctx.members, ctx.sums, ctx.links
     res, total = residual[i], len(residual)
     # A word starves the neighbor in a lonely slot unless it completes it,
     # and a node two links away if it completes every slot of its cut.
@@ -252,9 +250,9 @@ def _feasible(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) 
     return survivors
 
 
-def _guaranteed(state: PuzzleState, ctx: _Context, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def _guaranteed(res: Sequence[int], ctx: _Context, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """omega_star of node id i as counts, from _feasible's words."""
-    words = _feasible(state, ctx, i, caps)
+    words = _feasible(res, ctx, i, caps)
     return tuple(map(min, zip(*words))) if words else None
 
 
@@ -287,7 +285,7 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     An empty result is meaningful: the state admits no completion of p.
     """
     ctx, i = _context_at(state, p)
-    words = [] if ctx.dead else _feasible(state, ctx, i, state._capacity(i))
+    words = [] if ctx.dead else _feasible(state._res, ctx, i, state._capacity(i))
     return WordSet(tuple([ConfigWord(*w) for w in words]))
 
 
@@ -300,7 +298,7 @@ def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
     to complete p, so no solution extends this state.
     """
     ctx, i = _context_at(state, p)
-    w = None if ctx.dead else _guaranteed(state, ctx, i, state._capacity(i))
+    w = None if ctx.dead else _guaranteed(state._res, ctx, i, state._capacity(i))
     return None if w is None else ConfigWord(*w)
 
 
@@ -308,4 +306,4 @@ def _context_at(state: PuzzleState, p: Node) -> tuple[_Context, int]:
     """A fresh context of state, and p's node id; p must be incomplete."""
     if state.residual(p) < 1:
         raise ValueError(f"node at {p.coord} is already complete")
-    return _Context(state), state.grid._index[p.coord]
+    return _Context(state.grid, state._mult, state._res), state.grid._index[p.coord]

@@ -188,12 +188,17 @@ class TestDegreeAndState:
         s = PuzzleState.empty(g).add_connections(edge(0, 1, 2, 1), 1)
         with pytest.raises(CrossingViolation):
             s.add_connections(edge(1, 0, 1, 2), 1)
+        with pytest.raises(CrossingViolation):
+            PuzzleState(g, {edge(0, 1, 2, 1): 1, edge(1, 0, 1, 2): 1})
 
     def test_non_neighbor_edge_rejected(self):
         g = self.grid()
         s = PuzzleState.empty(g)
         with pytest.raises(InvalidConnectionError):
             s.add_connections(EdgeKey.between(Coordinate(0, 0), Coordinate(5, 0)), 1)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+                PuzzleState(g, {edge(0, 0, 1, 0): m})
 
     def test_remaining_capacity(self):
         g = self.grid()

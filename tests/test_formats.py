@@ -76,8 +76,10 @@ class TestParsePuzzle:
         assert parse_puzzle(text).k == 2
 
     def test_missing_header(self):
-        with pytest.raises(MissingHeaderError):
-            parse_puzzle("node 0 0 1\n")
+        for text, line in [("node 0 0 1\n", 1), ("# only a comment\n\n", None)]:
+            with pytest.raises(MissingHeaderError) as exc:
+                parse_puzzle(text)
+            assert exc.value.line == line
 
     def test_duplicate_coordinate_carries_line_number(self):
         with pytest.raises(DuplicateCoordinateError) as exc:
@@ -89,11 +91,21 @@ class TestParsePuzzle:
             parse_puzzle("k 0\nnode 0 0 1\n")
         with pytest.raises(RangeError):
             parse_puzzle("k 1\nnode 0 0 0\n")
+        with pytest.raises(RangeError) as exc:
+            parse_puzzle("k 1\nnode 0 0 1\nnode 2 -1 1\n")
+        assert exc.value.line == 3
 
     def test_malformed_line(self):
-        with pytest.raises(ParseError) as exc:
-            parse_puzzle("k 1\nnode 0 zero 1\n")
-        assert exc.value.line == 2
+        cases = [
+            ("k 1\nnode 0 zero 1\n", 2),
+            ("k 1\nnode 0 0 1\nk 2\n", 3),  # a second header
+            ("k 1\nnode 0 0\n", 2),
+            ("k 1\n# no nodes\n", None),
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as exc:
+                parse_puzzle(text)
+            assert (type(exc.value), exc.value.line) == (ParseError, line), text
 
     def test_round_trip(self):
         g = NumberedGrid(2, [node(0, 0, 2), node(3, 1, 5), node(0, 4, 1)])
@@ -113,12 +125,21 @@ class TestParseSolution:
             parse_solution("conn 0 0 1 0 1\nconn 1 0 0 0 2\n")
 
     def test_zero_multiplicity_rejected(self):
-        with pytest.raises(RangeError):
-            parse_solution("conn 0 0 1 0 0\n")
+        for text, line in [("conn 0 0 1 0 0\n", 1), ("conn 0 0 1 0 1\nconn 0 -1 0 1 1\n", 2)]:
+            with pytest.raises(RangeError) as exc:
+                parse_solution(text)
+            assert exc.value.line == line
 
     def test_diagonal_rejected(self):
-        with pytest.raises(ParseError):
-            parse_solution("conn 0 0 1 1 1\n")
+        cases = [
+            ("conn 0 0 1 1 1\n", 1),
+            ("conn 0 0 1 0\n", 1),
+            ("conn 0 0 1 0 1\nconn 1 1 1 1 1\n", 2),  # equal endpoints
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as exc:
+                parse_solution(text)
+            assert (type(exc.value), exc.value.line) == (ParseError, line), text
 
     def test_round_trip(self):
         text = "conn 0 0 0 1 2\nconn 0 0 1 0 1\n"
@@ -146,6 +167,9 @@ class TestVerifySolution:
         g = self.grid()
         check = verify_solution(g, [(edge(0, 0, 1, 0), 2), (edge(0, 0, 0, 1), 1)])
         assert not check
+        g = NumberedGrid(1, [node(0, 1, 1), node(2, 1, 1), node(1, 0, 1), node(1, 2, 1)])
+        check = verify_solution(g, [(edge(0, 1, 2, 1), 1), (edge(1, 0, 1, 2), 1)])
+        assert not check and "crosses" in check.reason
 
     def test_rejects_non_neighbor_record(self):
         g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1), node(2, 0, 2)])

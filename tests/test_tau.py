@@ -28,10 +28,15 @@ from gridlink import (
     run_tau,
 )
 import gridlink.tau as tau_module
+from gridlink.core import _digest
 from gridlink.tau import _Engine, _stalls_at_start, _toward
 from gridlink.words import _Context
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def context(state):
+    return _Context(state.grid, state._mult, state._res)
 
 
 def square_grid():
@@ -430,10 +435,10 @@ class TestIncrementalEngine:
                 move = engine.next_move()
                 state = engine.state
                 assert move == reference_move(state), (g.nodes, state.connections())
-                fresh = _Context(state)
+                fresh = context(state)
                 # The engine's context, built at the first R4 step, leaves
                 # starved nodes to the over-capacity check.
-                assert engine.ctx is None or engine.ctx.dead == fresh.dead or engine.over
+                assert engine.ctx is None or engine.ctx.dead == fresh.dead or engine.fires[0]
                 if not fresh.dead:
                     for i, w in engine.guaranteed.items():
                         expected = omega_star(state, g.nodes[i])
@@ -455,30 +460,36 @@ class TestIncrementalEngine:
     def test_bookkeeping_survives_random_steps_toward_a_solution(self):
         # Each step completes a random incomplete node the way one solution
         # does, in an order the engine's own rules would not take. After
-        # each step the carried tables must equal tables built from scratch,
-        # and every omega_star the engine keeps must equal a fresh one.
+        # each step the state vectors must equal those of the same steps
+        # replayed through apply_builder, the carried tables must equal
+        # tables built from scratch, and every omega_star the engine keeps
+        # must equal a fresh one.
         rng = random.Random(3)
         steps = memo_checks = 0
         for g in generated(RANDOM_WALK_CORPUS):
             solution = enumerate_solutions(g, limit=1).solutions[0]
             target = [solution.get(e, 0) for e in g.all_edges]
             engine = _Engine(PuzzleState.empty(g))
+            state = PuzzleState.empty(g)
             while True:
-                state = engine.state
+                assert (engine.mult, engine.res) == (list(state._mult), list(state._res))
+                assert _digest(g, engine.mult) == state.digest()
                 fresh = _Engine(state)
-                assert (engine.caps, engine.over, engine.forced) == (fresh.caps, fresh.over, fresh.forced)
+                assert (engine.caps, engine.fires) == (fresh.caps, fresh.fires)
                 assert engine.blocked == fresh.blocked
                 incomplete = [i for i, caps in enumerate(engine.caps) if caps is not None]
                 if not incomplete:
                     break
                 engine._omega_move()  # fills in the missing omega_star words
-                assert engine.ctx.dead == _Context(state).dead
+                assert engine.ctx.dead == context(state).dead
                 for i, w in engine.guaranteed.items():
                     expected = omega_star(state, g.nodes[i])
                     assert w == (None if expected is None else expected.counts), (g.nodes, state.connections(), i)
                     memo_checks += 1
                 i = rng.choice(incomplete)
-                engine.apply(i, tuple(0 if link is None else target[link[1]] - state._mult[link[1]] for link in g._links[i]))
+                counts = tuple(0 if link is None else target[link[1]] - state._mult[link[1]] for link in g._links[i])
+                engine.apply(i, counts)
+                state = apply_builder(state, g.nodes[i], ConfigWord(*counts))
                 steps += 1
         assert steps >= 700 and memo_checks >= 10000
 
@@ -500,7 +511,7 @@ class TestIncrementalEngine:
             i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
             engine.apply(i, tuple(int(link is not None and link[0] == right) for link in g._links[i]))
             state = engine.state
-            assert not _Context(state).dead
+            assert not context(state).dead
             engine._omega_move()
             for j, w in engine.guaranteed.items():
                 expected = omega_star(state, g.nodes[j])

@@ -244,7 +244,7 @@ class TestContext:
             except GenerationFailure:
                 continue
             state = PuzzleState.empty(g)
-            ctx = _Context(state)
+            ctx = _Context(g, state._mult, state._res)
             if ctx.dead:  # a node without neighbors
                 continue
             for _ in range(rng.randint(1, 12)):
@@ -259,8 +259,8 @@ class TestContext:
                 i = g._index[p.coord]
                 touched = [i] + [link[0] for link, m in zip(g._links[i], w.counts) if m]
                 state = apply_builder(state, p, w)
-                changed = ctx.join(state, touched, 2 * w.length)
-                fresh = _Context(state)
+                changed = ctx.join(state._res, touched, 2 * w.length)
+                fresh = _Context(g, state._mult, state._res)
                 open_ids = [c for c, r in enumerate(state._res) if r]
                 pairs = {(ctx.label[c], fresh.label[c]) for c in range(len(g.nodes))}
                 assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
