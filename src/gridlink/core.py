@@ -8,11 +8,12 @@ nearest node in each axis direction; in sparse grids they may be far away.
 Each grid compiles its topology once, over integer ids: a node id is the
 node's position in nodes and an edge id its position in all_edges. The
 tables are a 4-slot link table per node, the endpoints of each edge, and
-the ids of the edges crossing each edge. PuzzleState keeps multiplicities
-by edge id and residuals by node id, and words, tau and the oracle read
-these tables. Coordinate, EdgeKey and Node appear only at the API edge.
-Connected components are kept by one routine, _Components, which the
-verifier, the word test and the generator share.
+the ids of the edges crossing each edge. One pass over plain (x, y) ints
+builds the first two, and a sweep over the same ints the third.
+PuzzleState keeps multiplicities by edge id and residuals by node id, and
+words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
+appear only at the API edge. Connected components are kept by one routine,
+_Components, which the verifier, the word test and the generator share.
 
 All types here are immutable values: operations that change a state return a
 new one. The propagation engine and the enumerator step vectors of their own
@@ -60,15 +61,7 @@ class Direction(IntEnum):
 
     @property
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
-
-
-_OPPOSITE = {
-    Direction.TOP: Direction.BOTTOM,
-    Direction.BOTTOM: Direction.TOP,
-    Direction.RIGHT: Direction.LEFT,
-    Direction.LEFT: Direction.RIGHT,
-}
+        return Direction((self + 1) % 4 + 1)  # two steps round the 1..4 cycle
 
 
 @dataclass(frozen=True, order=True)
@@ -159,15 +152,15 @@ class NumberedGrid:
     def __init__(self, k: int, nodes) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        node_list = sorted(nodes, key=lambda n: (n.coord.y, n.coord.x))
-        if not node_list:
+        # Ties on the decorated key never compare nodes, and duplicates end up adjacent.
+        keyed = sorted([((n.coord.y, n.coord.x), i, n) for i, n in enumerate(nodes)])
+        if not keyed:
             raise ValueError("grid must contain at least one node")
-        coords = [n.coord for n in node_list]
-        if len(set(coords)) != len(coords):
-            dup = next(c for c in coords if coords.count(c) > 1)
-            raise ValueError(f"duplicate coordinate {dup}")
+        dup = next((n for (c, _, n), (d, _, _) in zip(keyed, keyed[1:]) if c == d), None)
+        if dup is not None:
+            raise ValueError(f"duplicate coordinate {dup.coord}")
         self.k = k
-        self.nodes: tuple[Node, ...] = tuple(node_list)
+        self.nodes: tuple[Node, ...] = tuple([n for _, _, n in keyed])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberedGrid):
@@ -185,35 +178,39 @@ class NumberedGrid:
         return {n.coord: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def _links(self) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
-        """Per node id, four slots in Direction order, each (neighbor id,
-        edge id) or None.
+    def _compiled(self) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+        """(_links, _ends), built in one pass over plain (x, y) ints.
 
-        Each node links to the next node on its row and column. Edge ids
-        follow the canonical edge order: by lower endpoint in (x, y) order,
-        its TOP edge before its RIGHT one. Tables are built from lists, as
-        tuple() over a generator resizes, which fills CPython's free lists.
+        Nodes are visited in (x, y) order. Each links to the next node on its
+        column (slots TOP=0, BOTTOM=2) and row (RIGHT=1, LEFT=3), and hands out
+        ids to the edges it is the lower end of, TOP before RIGHT: the canonical
+        edge order. Tables are built from lists, as tuple() over a generator
+        resizes, which fills CPython's free lists.
         """
-        coords = [n.coord for n in self.nodes]
-        n = len(coords)
-        by_column = sorted(range(n), key=lambda i: (coords[i].x, coords[i].y))
-        links: list[list[Optional[tuple[int, int]]]] = [[None] * 4 for _ in coords]
-        e = 0
-        for a, up in zip(by_column, by_column[1:] + [None]):
-            top = up if up is not None and coords[up].x == coords[a].x else None
-            right = a + 1 if a + 1 < n and coords[a + 1].y == coords[a].y else None
-            for d, b in ((Direction.TOP, top), (Direction.RIGHT, right)):
-                if b is not None:
-                    links[a][d - 1], links[b][d.opposite - 1] = (b, e), (a, e)
-                    e += 1
-        return tuple([tuple(row) for row in links])
+        n = len(self.nodes)
+        xy = [(p.coord.x, p.coord.y) for p in self.nodes] + [(-1, -1)]  # sentinel id n: on no row or column
+        by_column = sorted(range(n), key=xy.__getitem__)
+        links: list[list[Optional[tuple[int, int]]]] = [[None] * 4 for _ in range(n)]
+        ends: list[tuple[int, int]] = []
+        for a, up in zip(by_column, by_column[1:] + [n]):
+            x, y = xy[a]
+            if xy[up][0] == x:
+                links[a][0], links[up][2] = (up, len(ends)), (a, len(ends))
+                ends.append((a, up))
+            if xy[a + 1][1] == y:
+                links[a][1], links[a + 1][3] = (a + 1, len(ends)), (a, len(ends))
+                ends.append((a, a + 1))
+        return tuple([tuple(row) for row in links]), tuple(ends)
+
+    @cached_property
+    def _links(self) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+        """Per node id, four slots in Direction order, each (neighbor id, edge id) or None."""
+        return self._compiled[0]
 
     @cached_property
     def _ends(self) -> tuple[tuple[int, int], ...]:
         """Per edge id, its two node ids in canonical order."""
-        # A node's TOP and RIGHT slots hold the edges it is the lower end of.
-        ends = {e: (a, b) for a, row in enumerate(self._links) for b, e in filter(None, row[:2])}
-        return tuple([ends[e] for e in range(len(ends))])
+        return self._compiled[1]
 
     def node_at(self, coord: Coordinate) -> Optional[Node]:
         i = self._index.get(coord)
@@ -248,27 +245,32 @@ class NumberedGrid:
     def _crossings(self) -> tuple[tuple[int, ...], ...]:
         """Per edge id, the sorted ids of the edges that geometrically cross it.
 
-        A sorted sweep finds the pairs: the horizontal edges of a row are
-        disjoint and come in x order, so each vertical edge meets at most one
-        edge per row strictly between its endpoints, found by bisection.
+        A sorted sweep over plain int coordinates finds the pairs. One pass
+        over the edges groups the horizontal ones by row and lists the
+        vertical ones. A row's horizontal edges are disjoint and come in x
+        order, so each vertical edge meets at most one edge per row strictly
+        between its endpoints, found by bisection.
         """
+        xs = [n.coord.x for n in self.nodes]
+        ys = [n.coord.y for n in self.nodes]
         crossing: list[list[int]] = [[] for _ in self._ends]
         rows: dict[int, list[tuple[int, int, int]]] = {}  # y -> (left x, right x, edge id)
-        spans = [(self.nodes[a].coord, self.nodes[b].coord) for a, b in self._ends]
-        for e, (p, q) in enumerate(spans):
-            if p.y == q.y:
-                rows.setdefault(p.y, []).append((p.x, q.x, e))
-        ys = sorted(rows)
-        for v, (p, q) in enumerate(spans):
-            if p.y == q.y:
-                continue
-            for y in ys[bisect_right(ys, p.y):bisect_left(ys, q.y)]:
+        verticals = []  # (edge id, x, lower y, upper y)
+        for e, (a, b) in enumerate(self._ends):
+            if ys[a] == ys[b]:
+                rows.setdefault(ys[a], []).append((xs[a], xs[b], e))
+            else:
+                verticals.append((e, xs[a], ys[a], ys[b]))
+        row_ys = sorted(rows)
+        for v, x, low, high in verticals:
+            for y in row_ys[bisect_right(row_ys, low):bisect_left(row_ys, high)]:
                 row = rows[y]
-                i = bisect_left(row, (p.x,)) - 1
-                if i >= 0 and p.x < row[i][1]:
+                i = bisect_left(row, (x,)) - 1
+                if i >= 0 and x < row[i][1]:
                     crossing[row[i][2]].append(v)
                     crossing[v].append(row[i][2])
-        return tuple([tuple(sorted(cs)) for cs in crossing])
+            crossing[v].sort()  # horizontal edges' lists fill in vertical id order
+        return tuple([tuple(cs) for cs in crossing])
 
     @cached_property
     def crossing_conflicts(self) -> dict[EdgeKey, tuple[EdgeKey, ...]]:
@@ -300,8 +302,9 @@ def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> Numbere
     """A grid over grid's coordinates with bound k, node id i labeled
     magnitudes[i]. Topology depends on the coordinates alone, so the result
     shares the tables grid has already compiled."""
-    out = NumberedGrid(k, [Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)])
-    tables = ("_index", "_links", "_ends", "_crossings")
+    out = object.__new__(NumberedGrid)  # grid's coordinates are already sorted and unique
+    out.k, out.nodes = k, tuple([Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)])
+    tables = ("_index", "_compiled", "_links", "_ends", "_crossings")
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out
 

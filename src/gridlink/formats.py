@@ -156,9 +156,10 @@ def verify_solution(grid: NumberedGrid, records) -> SolvedCheck:
     the first reason found (bad pair, capacity, over-connection, crossing,
     incompleteness, or disconnection).
     """
+    connections = dict(records)
     try:
-        state = PuzzleState(grid, dict(records))
-    except GridError as exc:
+        state = PuzzleState(grid, connections)
+    except (GridError, ValueError) as exc:  # ValueError: a multiplicity below 1
         return SolvedCheck(False, str(exc))
     return is_solved(state)
 

@@ -244,29 +244,32 @@ def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optio
     rng.shuffle(order)
 
     comps = _Components(probe)
+    label, members = comps.label, comps.members  # union updates both in place
     chosen: dict[int, int] = {}
     for e in order:
-        if len(comps.members) == 1:
+        if len(members) == 1:
             break
         a, b = ends[e]
-        if comps.label[a] != comps.label[b] and not any(f in chosen for f in crossing[e]):
+        if label[a] != label[b] and chosen.keys().isdisjoint(crossing[e]):
             chosen[e] = 1
             comps.union(a, b)
-    if len(comps.members) > 1:
+    if len(members) > 1:
         return None
 
     # Thicken the tree into a multigraph: extra strands on used pairs and
     # occasional fresh non-crossing edges.
+    random, randint = rng.random, rng.randint
     for e in order:
         if e in chosen:
-            if chosen[e] < k and rng.random() < 0.4:
-                chosen[e] += rng.randint(1, k - chosen[e])
-        elif rng.random() < 0.25 and not any(f in chosen for f in crossing[e]):
-            chosen[e] = rng.randint(1, k)
+            if chosen[e] < k and random() < 0.4:
+                chosen[e] += randint(1, k - chosen[e])
+        elif random() < 0.25 and chosen.keys().isdisjoint(crossing[e]):
+            chosen[e] = randint(1, k)
     degree = [0] * len(coords)
     for e, m in chosen.items():
-        for a in ends[e]:
-            degree[a] += m
+        a, b = ends[e]
+        degree[a] += m
+        degree[b] += m
     return _relabeled(probe, k, degree)
 
 

@@ -121,11 +121,51 @@ class TestSegmentsCross:
         }
         assert g.crossing_conflicts == expected
 
+    # Every pinned digest depends on edge-id order, so the compiled tables are
+    # checked here against a scan of every pair of coordinates.
+    @settings(max_examples=80, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40))
+    def test_compiled_tables_match_pairwise_reference(self, coords):
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+
+        def on_line(p, q, r):
+            return r[0] == p[0] == q[0] or r[1] == p[1] == q[1]
+
+        # p < q in (x, y) order; a pair is a neighbor pair when nothing lies strictly between.
+        pairs = [
+            EdgeKey(Coordinate(*p), Coordinate(*q))
+            for p in coords for q in coords
+            if p < q and on_line(p, q, q) and not any(p < r < q and on_line(p, q, r) for r in coords)
+        ]
+        assert g.all_edges == tuple(sorted(pairs))
+        index = {(n.coord.x, n.coord.y): i for i, n in enumerate(g.nodes)}
+        assert g._ends == tuple((index[e.a.x, e.a.y], index[e.b.x, e.b.y]) for e in g.all_edges)
+        step = dict(zip(Direction, [(0, 1), (1, 0), (0, -1), (-1, 0)]))
+        slots = []
+        for i, row in enumerate(g._links):
+            for d, link in zip(Direction, row):
+                if link is None:
+                    continue
+                q, e = link
+                # A node's TOP and RIGHT slots hold the edges it is the lower end of.
+                lower = d in (Direction.TOP, Direction.RIGHT)
+                assert g._ends[e] == ((i, q) if lower else (q, i))
+                a, b = g.nodes[i].coord, g.nodes[q].coord
+                dx, dy = b.x - a.x, b.y - a.y
+                assert ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)) == step[d]
+                slots.append(e)
+        assert sorted(slots) == [e for e in range(len(g._ends)) for _ in range(2)]
+
 
 class TestGridValidation:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             NumberedGrid(1, [node(0, 0, 1), node(0, 0, 2)])
+        # Duplicates apart in the input; the message names the lowest in row-major order.
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+            NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1), node(0, 0, 2)])
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
+            NumberedGrid(1, [node(0, 1, 1), node(1, 0, 1), node(0, 1, 2), node(1, 0, 3)])
 
     def test_k_and_magnitude_bounds(self):
         with pytest.raises(ValueError):

@@ -180,6 +180,10 @@ class TestVerifySolution:
         g = NumberedGrid(1, [node(0, 0, 2), node(1, 0, 2)])
         check = verify_solution(g, [(edge(0, 0, 1, 0), 2)])
         assert not check
+        # Below 1 is no solution either: a not-ok check, not the constructor's ValueError.
+        for m in (0, -1):
+            check = verify_solution(g, [(edge(0, 0, 1, 0), m)])
+            assert not check and check.reason == f"multiplicity must be >= 1, got {m} on (0, 0)-(1, 0)"
 
 
 class TestRenderBoard:

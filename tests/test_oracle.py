@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 from typing import Optional
 
 import pytest
@@ -360,6 +361,21 @@ class TestGenerate:
     def test_too_small_lattice_fails(self):
         with pytest.raises(GenerationFailure):
             generate(GenSpec(seed=1, width=1, height=1, node_density=1.0, k=1))
+
+    # A constructive grid takes its tables from the probe grid it was built
+    # on, unchecked: they must equal those a fresh compile of its nodes gives.
+    @pytest.mark.parametrize("size, density", [(4, 0.75), (16, 0.5), (18, 0.45), (20, 0.4)])
+    def test_shared_tables_equal_a_fresh_compile(self, size, density):
+        styles = set()
+        for seed in range(6):
+            # generate's first draw picks the placement style: frame-first below 0.5.
+            styles.add(Random(seed).random() < 0.5)
+            g = generate(GenSpec(seed, size, size, density, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
+            assert {"_compiled", "_crossings"} <= vars(g).keys()  # shared, not yet recompiled
+            fresh = NumberedGrid(g.k, g.nodes)
+            assert fresh == g
+            assert (g._links, g._ends, g._crossings) == (fresh._links, fresh._ends, fresh._crossings)
+        assert styles == {True, False}
 
     # sha256 of serialize_puzzle(generate(spec)): a seed must keep naming the
     # same puzzle whatever changes in the topology code underneath.
