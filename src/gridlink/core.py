@@ -124,6 +124,15 @@ class EdgeKey:
         return f"{self.a}-{self.b}"
 
 
+def _edge_key(a: Coordinate, b: Coordinate) -> EdgeKey:
+    """EdgeKey(a, b), unchecked: a and b must be canonically ordered and
+    axis-aligned, as the ends of a compiled edge are."""
+    e = object.__new__(EdgeKey)
+    fields = e.__dict__  # a frozen dataclass refuses setattr, not its __dict__
+    fields["a"], fields["b"] = a, b
+    return e
+
+
 def segments_cross(e1: EdgeKey, e2: EdgeKey) -> bool:
     """True iff the two axis-aligned segments cross in their strict interiors.
 
@@ -239,7 +248,8 @@ class NumberedGrid:
     @cached_property
     def all_edges(self) -> tuple[EdgeKey, ...]:
         """Every neighbor-pair edge of the grid, in canonical order."""
-        return tuple([EdgeKey(self.nodes[a].coord, self.nodes[b].coord) for a, b in self._ends])
+        coords = [n.coord for n in self.nodes]
+        return tuple([_edge_key(coords[a], coords[b]) for a, b in self._ends])
 
     @cached_property
     def _crossings(self) -> tuple[tuple[int, ...], ...]:
@@ -298,12 +308,19 @@ class NumberedGrid:
         return _DigestEntries(self.all_edges)
 
 
+def _grid(k: int, nodes: tuple[Node, ...]) -> NumberedGrid:
+    """NumberedGrid(k, nodes), unchecked: k must be at least 1, and nodes
+    non-empty, in row-major order and at distinct coordinates."""
+    grid = object.__new__(NumberedGrid)
+    grid.k, grid.nodes = k, nodes
+    return grid
+
+
 def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> NumberedGrid:
     """A grid over grid's coordinates with bound k, node id i labeled
     magnitudes[i]. Topology depends on the coordinates alone, so the result
     shares the tables grid has already compiled."""
-    out = object.__new__(NumberedGrid)  # grid's coordinates are already sorted and unique
-    out.k, out.nodes = k, tuple([Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)])
+    out = _grid(k, tuple([Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)]))
     tables = ("_index", "_compiled", "_links", "_ends", "_crossings")
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out

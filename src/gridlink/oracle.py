@@ -19,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, Node, NumberedGrid, _Components, _relabeled
+from .core import Coordinate, Node, NumberedGrid, _Components, _grid, _relabeled
 from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
@@ -205,7 +205,9 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
     return None
 
 
-def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list[Coordinate]:
+def _place_cells(rng: Random, spec: GenSpec, frame_first: bool = False) -> list[int]:
+    """Distinct cells drawn for the nodes, in draw order, each as its
+    row-major index y * width + x."""
     width, height = spec.width, spec.height
     cells = width * height
     if cells < 2:
@@ -213,32 +215,31 @@ def _place_coords(rng: Random, spec: GenSpec, frame_first: bool = False) -> list
     if cells > _MAX_BOARD_CELLS:
         raise GenerationFailure(f"{width}x{height} lattice exceeds the {_MAX_BOARD_CELLS} cells a grid may span")
     count = min(cells, max(2, round(spec.node_density * cells)))
-    # Cells are drawn by row-major index; a Coordinate is built only for the
-    # cells drawn.
     if not frame_first:
-        return [Coordinate(c % width, c // width) for c in rng.sample(range(cells), count)]
+        return rng.sample(range(cells), count)
     # Frame-first placement: exhaust the boundary before touching the
     # interior. Interior gaps leave long sight lines and crossing pairs,
     # which is where the structurally hard instances live.
     rows = {*range(width), *range(cells - width, cells)}
     boundary = sorted(rows.union(range(0, cells, width), range(width - 1, cells, width)))
     taken = rng.sample(boundary, min(count, len(boundary)))
-    coords = [Coordinate(c % width, c // width) for c in taken]
     if count > len(boundary):
         inner = width - 2
         picked = rng.sample(range(cells - len(boundary)), count - len(boundary))
-        coords += [Coordinate(1 + c % inner, 1 + c // inner) for c in picked]
-    return coords
+        taken += [(1 + c // inner) * width + 1 + c % inner for c in picked]
+    return taken
 
 
-def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optional[NumberedGrid]:
-    """Random connected, non-crossing multigraph over the neighbor pairs,
+def _spanning_multigraph(rng: Random, cells: list[int], width: int, k: int) -> Optional[NumberedGrid]:
+    """Random connected, non-crossing multigraph over the neighbor pairs of
+    the nodes at cells (row-major indices on a lattice of the given width),
     returned as the grid of bound k whose nodes are labeled with their degree.
 
     Returns None when a randomized spanning pass dead-ends against the
     crossing constraints.
     """
-    probe = NumberedGrid(1, [Node(c, 1) for c in coords])
+    # Sorted distinct cells are row-major order, so the grid needs no check.
+    probe = _grid(1, tuple([Node(Coordinate(c % width, c // width), 1) for c in sorted(cells)]))
     ends, crossing = probe._ends, probe._crossings
     order = list(range(len(ends)))
     rng.shuffle(order)
@@ -265,7 +266,7 @@ def _spanning_multigraph(rng: Random, coords: list[Coordinate], k: int) -> Optio
                 chosen[e] += randint(1, k - chosen[e])
         elif random() < 0.25 and chosen.keys().isdisjoint(crossing[e]):
             chosen[e] = randint(1, k)
-    degree = [0] * len(coords)
+    degree = [0] * len(cells)
     for e, m in chosen.items():
         a, b = ends[e]
         degree[a] += m
@@ -285,9 +286,9 @@ def generate(spec: GenSpec) -> NumberedGrid:
     """
     rng = Random(spec.seed)
     if spec.mode is GenMode.RANDOM:
-        coords = _place_coords(rng, spec)
-        cap = min(4 * spec.k, _MAGNITUDE_CAP)
-        nodes = [Node(c, rng.randint(1, cap)) for c in coords]
+        width, cap = spec.width, min(4 * spec.k, _MAGNITUDE_CAP)
+        # Magnitudes are drawn in draw order, so these nodes need the sort.
+        nodes = [Node(Coordinate(c % width, c // width), rng.randint(1, cap)) for c in _place_cells(rng, spec)]
         return NumberedGrid(spec.k, nodes)
 
     # The constructive mode alternates two placement styles: plain uniform
@@ -295,8 +296,8 @@ def generate(spec: GenSpec) -> NumberedGrid:
     # the crossing-rich instances that stress the propagation engine.
     frame_first = rng.random() < 0.5
     for _ in range(_PLACEMENT_ATTEMPTS):
-        coords = _place_coords(rng, spec, frame_first=frame_first)
-        grid = _spanning_multigraph(rng, coords, spec.k)
+        cells = _place_cells(rng, spec, frame_first=frame_first)
+        grid = _spanning_multigraph(rng, cells, spec.width, spec.k)
         if grid is not None:
             return grid
     raise GenerationFailure(
@@ -322,7 +323,10 @@ def find_stall_witness(budget: int, spec: GenSpec) -> Optional[NumberedGrid]:
         except GenerationFailure:
             continue
         # The probe is "run_tau stalls with an empty trace", read off the
-        # engine's bookkeeping on the empty state without running it.
+        # engine's bookkeeping on the empty state without running it: first
+        # the local checks, which decide most candidates, then the R4 pass,
+        # and the screens last (safe: on any grid the engine's checks raise
+        # nothing, and a screen violation can only make the answer False).
         if not _stalls_at_start(grid):
             continue
         sols = enumerate_solutions(grid, limit=2)

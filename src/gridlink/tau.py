@@ -28,8 +28,12 @@ same nodes, of the nodes within three links of a node it completes, and of
 the nodes near a component it leaves with a small residual sum
 (_Engine.apply and words._Context.join say why). The stall search
 (_stalls_at_start, used by oracle.find_stall_witness) reads the same
-bookkeeping on the empty state and consumes the same R4 pass, _Engine._words,
-so a change to a rule reaches both.
+bookkeeping on the empty state, so a change to a rule reaches both. It
+tests first what most often decides a candidate: the engine's first pass,
+stopped at the first node where a check fires; then the same R4 pass,
+_Engine._words, stopped at the first word that is not zero; and the
+screens last, which is safe as the engine's checks raise nothing on any
+grid and a screen violation can only turn the answer to False.
 
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Optional
 
 from .core import (
@@ -133,23 +138,29 @@ class _Engine:
     word), as far as computed since then.
     """
 
-    def __init__(self, state: PuzzleState) -> None:
+    def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
         grid = self.grid = state.grid
         self.mult, self.res = list(state._mult), list(state._res)
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
         self.fires: list[dict[int, tuple[int, ...]]] = [{}, {}, {}, {}]
         # A blocked edge is empty, as positive edges never cross; and
         # multiplicities only grow here, so an edge once blocked stays so.
-        self.blocked = [any(self.mult[c] for c in crossing) for crossing in grid._crossings]
-        # R2's slot: the direction of a node's only neighbor, if it has one.
-        self.single: list[Optional[int]] = []
-        for links in grid._links:
-            slots = [s for s, link in enumerate(links) if link]
-            self.single.append(slots[0] if len(slots) == 1 else None)
+        self.blocked = [False] * len(self.mult)
+        for e in compress(range(len(self.mult)), self.mult):
+            for c in grid._crossings[e]:
+                self.blocked[c] = True
         self.ctx: Optional[_Context] = None
         self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
-        for i in range(len(self.res)):
+        # R2's slot: the direction of a node's only neighbor, if it has one.
+        self.single: list[Optional[int]] = []
+        # With stop_at_fire (the stall probe), the first pass ends at the first
+        # node where a check fires, and the later nodes are left unset.
+        for i, links in enumerate(grid._links):
+            slots = [s for s, link in enumerate(links) if link]
+            self.single.append(slots[0] if len(slots) == 1 else None)
             self._revise(i)
+            if stop_at_fire and any(self.fires):
+                break
 
     @property
     def state(self) -> PuzzleState:
@@ -331,11 +342,14 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 def _stalls_at_start(grid: NumberedGrid) -> bool:
     """True when run_tau stalls on the grid without drawing a connection.
 
-    Reads the engine's bookkeeping on the empty state: no table of fires
-    may hold a node, and the engine's R4 pass must give every node the zero
-    word; it stops at the first node that has another or none.
+    Reads the engine's bookkeeping on the empty state, testing first what
+    most often decides: the engine's first pass stops at the first node
+    where the over-capacity check or a local rule fires; else the engine's
+    R4 pass must give every node the zero word, and stops at the first node
+    that has another or none; else the grid must pass the screens. Screening
+    last is safe: on any grid the engine's checks raise nothing, and a
+    screen violation can only turn the answer to False.
     """
-    if screen(grid).unsolvable:
-        return False
-    engine = _Engine(PuzzleState.empty(grid))
-    return not any(engine.fires) and all(w is not None and not any(w) for _, w in engine._words())
+    engine = _Engine(PuzzleState.empty(grid), stop_at_fire=True)
+    stalls = not any(engine.fires) and all(w is not None and not any(w) for _, w in engine._words())
+    return stalls and not screen(grid).unsolvable

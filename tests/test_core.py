@@ -138,6 +138,8 @@ class TestSegmentsCross:
             if p < q and on_line(p, q, q) and not any(p < r < q and on_line(p, q, r) for r in coords)
         ]
         assert g.all_edges == tuple(sorted(pairs))
+        # all_edges skips the checked constructor; its keys must still pass it.
+        assert all(e.a < e.b and (e.a.x == e.b.x or e.a.y == e.b.y) for e in g.all_edges)
         index = {(n.coord.x, n.coord.y): i for i, n in enumerate(g.nodes)}
         assert g._ends == tuple((index[e.a.x, e.a.y], index[e.b.x, e.b.y]) for e in g.all_edges)
         step = dict(zip(Direction, [(0, 1), (1, 0), (0, -1), (-1, 0)]))

@@ -26,6 +26,7 @@ from gridlink import (
     omega_star,
     parse_puzzle,
     run_tau,
+    screen,
 )
 import gridlink.tau as tau_module
 from gridlink.core import _digest
@@ -219,6 +220,45 @@ class TestStallProbe:
         move = _Engine(PuzzleState.empty(g)).next_move()
         assert move[1] is TauRule.R4_OMEGA_STAR
         assert calls[0] == len(g.nodes) == 12
+
+    def test_probe_decides_at_its_first_decisive_check(self, monkeypatch):
+        # Local checks first, stopping at the first node where one fires; then
+        # the R4 pass; the screens run only on a candidate both leave open.
+        calls = {"_revise": 0, "screen": 0, "_guaranteed": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(_Engine, "_revise")
+        counted(tau_module, "screen")
+        counted(tau_module, "_guaranteed")
+        # R1 fires first at node id 9 of 12; R2 and R3 fire at node id 11.
+        g = generate(GenSpec(26641, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
+        assert not _stalls_at_start(g)
+        assert calls == {"_revise": 10, "screen": 0, "_guaranteed": 0}
+        # No check fires here; the first node's word is not zero.
+        calls.update(dict.fromkeys(calls, 0))
+        g = generate(GenSpec(26640, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
+        assert not _stalls_at_start(g)
+        assert calls == {"_revise": 12, "screen": 0, "_guaranteed": 1}
+
+    def test_probe_screens_a_grid_the_engine_stalls_on(self):
+        # The 3x3 lattice, k=2, corners 2 and every other node 3: no check
+        # fires and every word is zero, but the total 23 is odd. The probe
+        # must still screen it, as run_tau does first.
+        g = NumberedGrid(2, [node(x, y, 2 if x != 1 and y != 1 else 3) for x in range(3) for y in range(3)])
+        engine = _Engine(PuzzleState.empty(g))
+        assert not any(engine.fires)
+        assert all(w == (0, 0, 0, 0) for _, w in engine._words())
+        assert [v.condition for v in screen(g).violations] == [2]
+        assert run_tau(g).status is TauStatus.UNSOLVABLE
+        assert not _stalls_at_start(g)
 
 
 def assert_within_every_solution(g, out, sols):
