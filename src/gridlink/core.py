@@ -96,6 +96,22 @@ def node(x: int, y: int, magnitude: int) -> Node:
     return Node(Coordinate(x, y), magnitude)
 
 
+def _coordinate(x: int, y: int) -> Coordinate:
+    """Coordinate(x, y), unchecked: x and y must be non-negative."""
+    c = object.__new__(Coordinate)
+    fields = c.__dict__  # as in _edge_key
+    fields["x"], fields["y"] = x, y
+    return c
+
+
+def _node(coord: Coordinate, magnitude: int) -> Node:
+    """Node(coord, magnitude), unchecked: magnitude must be at least 1."""
+    n = object.__new__(Node)
+    fields = n.__dict__  # as in _edge_key
+    fields["coord"], fields["magnitude"] = coord, magnitude
+    return n
+
+
 @dataclass(frozen=True, order=True)
 class EdgeKey:
     """Unordered neighbor pair, stored with endpoints in lexicographic order."""
@@ -318,9 +334,10 @@ def _grid(k: int, nodes: tuple[Node, ...]) -> NumberedGrid:
 
 def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> NumberedGrid:
     """A grid over grid's coordinates with bound k, node id i labeled
-    magnitudes[i]. Topology depends on the coordinates alone, so the result
-    shares the tables grid has already compiled."""
-    out = _grid(k, tuple([Node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)]))
+    magnitudes[i], which must be at least 1. Topology depends on the
+    coordinates alone, so the result shares the tables grid has already
+    compiled."""
+    out = _grid(k, tuple([_node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)]))
     tables = ("_index", "_compiled", "_links", "_ends", "_crossings")
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out

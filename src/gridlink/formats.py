@@ -19,10 +19,12 @@ from .core import (
     Coordinate,
     EdgeKey,
     GridError,
-    Node,
     NumberedGrid,
     PuzzleState,
     SolvedCheck,
+    _coordinate,
+    _grid,
+    _node,
     is_solved,
 )
 from .words import count_configs
@@ -74,8 +76,8 @@ def _int_fields(parts: Sequence[str], lineno: int) -> list[int]:
 def parse_puzzle(text: str) -> NumberedGrid:
     """Parse a puzzle document into a grid."""
     header_k: Optional[int] = None
-    nodes: list[Node] = []
-    seen: dict[Coordinate, int] = {}
+    cells: list[tuple[int, int, int]] = []  # (y, x, magnitude): sorted, row-major order
+    seen: dict[tuple[int, int], int] = {}  # (x, y) -> the line that placed a node there
     for lineno, line in _significant_lines(text):
         parts = line.split()
         if header_k is None:
@@ -94,18 +96,18 @@ def parse_puzzle(text: str) -> NumberedGrid:
             raise RangeError(f"coordinates must be non-negative, got ({x}, {y})", lineno)
         if n < 1:
             raise RangeError(f"magnitude must be >= 1, got {n}", lineno)
-        coord = Coordinate(x, y)
-        if coord in seen:
-            raise DuplicateCoordinateError(
-                f"coordinate ({x}, {y}) already used on line {seen[coord]}", lineno
-            )
-        seen[coord] = lineno
-        nodes.append(Node(coord, n))
+        first = seen.setdefault((x, y), lineno)
+        if first != lineno:
+            raise DuplicateCoordinateError(f"coordinate ({x}, {y}) already used on line {first}", lineno)
+        cells.append((y, x, n))
     if header_k is None:
         raise MissingHeaderError("document has no `k <int>` header")
-    if not nodes:
+    if not cells:
         raise ParseError("document has no node records")
-    return NumberedGrid(header_k, nodes)
+    # Every value is checked above and the cells are distinct, so the grid
+    # needs no second check; ties in the sort never reach the magnitudes.
+    cells.sort()
+    return _grid(header_k, tuple([_node(_coordinate(x, y), n) for y, x, n in cells]))
 
 
 def serialize_puzzle(grid: NumberedGrid) -> str:

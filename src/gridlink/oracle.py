@@ -19,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, Node, NumberedGrid, _Components, _grid, _relabeled
+from .core import Coordinate, Node, NumberedGrid, _Components, _coordinate, _grid, _node, _relabeled
 from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
@@ -239,7 +239,7 @@ def _spanning_multigraph(rng: Random, cells: list[int], width: int, k: int) -> O
     crossing constraints.
     """
     # Sorted distinct cells are row-major order, so the grid needs no check.
-    probe = _grid(1, tuple([Node(Coordinate(c % width, c // width), 1) for c in sorted(cells)]))
+    probe = _grid(1, tuple([_node(_coordinate(c % width, c // width), 1) for c in sorted(cells)]))
     ends, crossing = probe._ends, probe._crossings
     order = list(range(len(ends)))
     rng.shuffle(order)

@@ -55,52 +55,44 @@ def screen(grid: NumberedGrid) -> ScreenReport:
     """
     violations: list[Violation] = []
     k = grid.k
+    nodes = grid.nodes
+    mags = [p.magnitude for p in nodes]
 
-    total = grid.total_magnitude()
+    total = sum(mags)
     if total % 2 == 1:
         violations.append(
             Violation(2, None, f"total magnitude {total} is odd, connections always add 2")
         )
 
-    nodes = grid.nodes
-    for p, links in zip(nodes, grid._links):
-        nbrs = sorted(q for q, _ in filter(None, links))  # node ids: row-major order
+    for p, m, links in zip(nodes, mags, grid._links):
+        nbrs = [q for q, _ in filter(None, links)]  # node ids, in Direction order
         r = len(nbrs)
         if r == 0:
             violations.append(Violation(1, p.coord, f"node at {p.coord} has no neighbors"))
             continue
-        nbr_sum = sum(nodes[q].magnitude for q in nbrs)
-        if nbr_sum < p.magnitude:
+        nbr_sum = sum([mags[q] for q in nbrs])
+        if nbr_sum < m:
             violations.append(
-                Violation(
-                    3,
-                    p.coord,
-                    f"node at {p.coord} needs {p.magnitude} but neighbors only hold {nbr_sum}",
-                )
+                Violation(3, p.coord, f"node at {p.coord} needs {m} but neighbors only hold {nbr_sum}")
             )
-        if p.magnitude > r * k:
+        if m > r * k:
             violations.append(
-                Violation(
-                    5,
-                    p.coord,
-                    f"node at {p.coord} has magnitude {p.magnitude} > r*k = {r}*{k}",
-                )
+                Violation(5, p.coord, f"node at {p.coord} has magnitude {m} > r*k = {r}*{k}")
             )
-        if k > 1:
-            j = p.magnitude - (r - 1) * k
-            if 2 <= j <= k:
-                for q in nbrs:
-                    if nodes[q].magnitude <= j - 1:
-                        violations.append(
-                            Violation(
-                                6,
-                                p.coord,
-                                f"node at {p.coord} (magnitude {(r - 1)}*{k}+{j}) needs at "
-                                f"least {j} connections with every neighbor, but the one at "
-                                f"{nodes[q].coord} can take at most {nodes[q].magnitude}",
-                            )
-                        )
-                        break
+        j = m - (r - 1) * k
+        if 2 <= j <= k:
+            # The first offending neighbor in row-major order, i.e. by node id.
+            q = next((q for q in sorted(nbrs) if mags[q] <= j - 1), None)
+            if q is not None:
+                violations.append(
+                    Violation(
+                        6,
+                        p.coord,
+                        f"node at {p.coord} (magnitude {(r - 1)}*{k}+{j}) needs at "
+                        f"least {j} connections with every neighbor, but the one at "
+                        f"{nodes[q].coord} can take at most {mags[q]}",
+                    )
+                )
 
     verdict = ScreenVerdict.UNSOLVABLE if violations else ScreenVerdict.MAYBE_SOLVABLE
     return ScreenReport(verdict, tuple(violations))

@@ -60,7 +60,7 @@ from .core import (
     is_solved,
 )
 from .screens import ScreenReport, screen
-from .words import ConfigWord, _Context, _guaranteed
+from .words import ConfigWord, _Context, _guaranteed, _word
 
 
 class TauRule(Enum):
@@ -129,7 +129,8 @@ class _Engine:
     """The engine's working state and its bookkeeping, carried across steps.
 
     mult and res are the state's vectors, by edge id and node id, which
-    apply steps in place. caps holds each node id's capacity per direction
+    apply steps in place. adjacent holds each node id's links that exist, as
+    (slot, neighbor id, edge id); caps each node id's capacity per direction
     (None once the node is completed); fires, per check in _RULE_ORDER, maps
     each node id where it fires to its counts (the caps for over-capacity,
     the forced word for a rule); blocked, per edge id, whether a positive
@@ -151,13 +152,11 @@ class _Engine:
                 self.blocked[c] = True
         self.ctx: Optional[_Context] = None
         self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
-        # R2's slot: the direction of a node's only neighbor, if it has one.
-        self.single: list[Optional[int]] = []
+        self.adjacent: list[tuple[tuple[int, int, int], ...]] = []
         # With stop_at_fire (the stall probe), the first pass ends at the first
         # node where a check fires, and the later nodes are left unset.
         for i, links in enumerate(grid._links):
-            slots = [s for s, link in enumerate(links) if link]
-            self.single.append(slots[0] if len(slots) == 1 else None)
+            self.adjacent.append(tuple([(s, *link) for s, link in enumerate(links) if link]))
             self._revise(i)
             if stop_at_fire and any(self.fires):
                 break
@@ -171,28 +170,46 @@ class _Engine:
         local rules: R1 when its residual equals its capacity, R2 when it has
         one neighbor, R3 when it has one incomplete neighbor (R2 claims the
         nodes with one neighbor first)."""
-        res, mult, k, single = self.res, self.mult, self.grid.k, self.single[i]
-        r, caps, words = res[i], None, (None, None, None, None)
-        if r:
-            caps, open_slots = [0, 0, 0, 0], []
-            for s, link in enumerate(self.grid._links[i]):
-                if link and res[link[0]]:
-                    open_slots.append(s)
-                    if not self.blocked[link[1]]:
-                        caps[s] = min(k - mult[link[1]], res[link[0]])
-            caps, room = tuple(caps), sum(caps)
-            words = (
-                caps if r > room else None,
-                caps if r == room else None,
-                None if single is None else _toward(single, r),
-                _toward(open_slots[0], r) if len(open_slots) == 1 else None,
-            )
-        self.caps[i] = caps
-        for table, word in zip(self.fires, words):
-            if word is None:
-                table.pop(i, None)
+        res = self.res
+        r = res[i]
+        over, full, single, one_open = self.fires
+        if not r:
+            self.caps[i] = None
+            over.pop(i, None)
+            full.pop(i, None)
+            single.pop(i, None)
+            one_open.pop(i, None)
+            return
+        mult, blocked, k, adjacent = self.mult, self.blocked, self.grid.k, self.adjacent[i]
+        caps = [0, 0, 0, 0]
+        room = n_open = 0
+        for s, q, e in adjacent:
+            rq = res[q]
+            if rq:
+                n_open += 1
+                open_slot = s
+                if not blocked[e]:
+                    cap = k - mult[e]
+                    caps[s] = cap = rq if rq < cap else cap
+                    room += cap
+        caps = self.caps[i] = tuple(caps)
+        if r > room:
+            over[i] = caps
+            full.pop(i, None)
+        else:
+            over.pop(i, None)
+            if r == room:
+                full[i] = caps
             else:
-                table[i] = word
+                full.pop(i, None)
+        if len(adjacent) == 1:
+            single[i] = _toward(adjacent[0][0], r)
+        else:
+            single.pop(i, None)
+        if n_open == 1:
+            one_open[i] = _toward(open_slot, r)
+        else:
+            one_open.pop(i, None)
 
     def next_move(self):
         """The next step as (node id, rule, word counts), or the verdict as
@@ -268,12 +285,12 @@ class _Engine:
         neighbors -- all that _feasible reads. With none kept, as on runs
         that need only R1-R3, there is nothing to drop.
         """
-        mult, res, links = self.mult, self.res, self.grid._links
+        mult, res, adjacent = self.mult, self.res, self.adjacent
         crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
         touched, opened = [i], []
-        for link, m in zip(links[i], counts):
+        for s, q, e in adjacent[i]:
+            m = counts[s]
             if m:
-                q, e = link
                 if not mult[e]:
                     opened.append(e)
                 mult[e] += m
@@ -282,7 +299,7 @@ class _Engine:
                 touched.append(q)
 
         def near(nodes):
-            return {q for c in nodes for q, _ in filter(None, links[c])}
+            return {q for c in nodes for _, q, _ in adjacent[c]}
 
         revise = near(touched).union(touched)
         for e in opened:
@@ -333,10 +350,9 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        edges = tuple((grid.all_edges[link[1]], m) for link, m in zip(grid._links[i], counts) if m)
+        edges = tuple([(grid.all_edges[e], counts[s]) for s, _, e in engine.adjacent[i] if counts[s]])
         engine.apply(i, counts)
-        word = ConfigWord.from_counts(counts)
-        trace.append(TauStep(grid.nodes[i].coord, rule, word, edges, _digest(grid, engine.mult)))
+        trace.append(TauStep(grid.nodes[i].coord, rule, _word(counts), edges, _digest(grid, engine.mult)))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:

@@ -98,6 +98,15 @@ class WordSet:
         return len(self.words)
 
 
+def _word(counts: Sequence[int]) -> ConfigWord:
+    """ConfigWord.from_counts(counts), unchecked: every count must be
+    non-negative, as the engine's are by construction."""
+    w = object.__new__(ConfigWord)
+    fields = w.__dict__  # a frozen dataclass refuses setattr, not its __dict__
+    fields["top"], fields["right"], fields["bottom"], fields["left"] = counts
+    return w
+
+
 def enumerate_phi_k(n: int, k: int) -> WordSet:
     """All ways to distribute n connections over the four directions, each
     direction used at most k times.

@@ -1,9 +1,12 @@
 """Text formats: parsing, serialization, verification, rendering, tables."""
 
+import dataclasses
 import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlink import (
     ConfigWord,
@@ -85,6 +88,40 @@ class TestParsePuzzle:
         with pytest.raises(DuplicateCoordinateError) as exc:
             parse_puzzle("k 2\nnode 0 0 2\nnode 0 0 3\n")
         assert exc.value.line == 3
+        # Two duplicates, neither on the line after its first use, and
+        # coordinates out of row-major order: the first repeat in reading
+        # order is reported, against the line that first placed it.
+        with pytest.raises(DuplicateCoordinateError) as exc:
+            parse_puzzle("k 1\nnode 3 0 1\nnode 1 0 1\n\nnode 2 0 2\nnode 1 0 1\nnode 3 0 1\n")
+        assert (exc.value.line, str(exc.value)) == (6, "line 6: coordinate (1, 0) already used on line 3")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8)),
+            min_size=1, max_size=30, unique_by=lambda row: row[:2],
+        ).flatmap(st.permutations),
+    )
+    def test_parsed_nodes_equal_checked_ones(self, k, rows):
+        # The parser builds its nodes and grid without the checked
+        # constructors; what it builds must be indistinguishable from them.
+        text = f"k {k}\n" + "".join(f"node {x} {y} {m}\n" for x, y, m in rows)
+        parsed = parse_puzzle(text)
+        checked = NumberedGrid(k, [node(x, y, m) for x, y, m in rows])
+        assert parsed == checked and hash(parsed) == hash(checked)
+        assert len(parsed.nodes) == len(checked.nodes) == len(rows)
+        for a, b in zip(parsed.nodes, checked.nodes):
+            assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+            assert (a.coord, hash(a.coord), repr(a.coord)) == (b.coord, hash(b.coord), repr(b.coord))
+        coords, expected = [n.coord for n in parsed.nodes], [n.coord for n in checked.nodes]
+        assert [c < d for c in coords for d in coords] == [c < d for c in expected for d in expected]
+        assert coords == sorted(coords, key=lambda c: (c.y, c.x))
+        # The unchecked build leaves the dataclasses' own checks in place.
+        with pytest.raises(ValueError):
+            dataclasses.replace(parsed.nodes[0], magnitude=0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(parsed.nodes[0].coord, x=-1)
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

@@ -3,12 +3,17 @@
 import hashlib
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from gridlink import (
     GenerationFailure,
     GenMode,
     GenSpec,
     NumberedGrid,
+    ScreenReport,
     ScreenVerdict,
+    Violation,
     enumerate_solutions,
     generate,
     node,
@@ -143,3 +148,88 @@ def test_reports_on_generated_grids_are_pinned():
     assert seen == {1, 2, 3, 5, 6}
     assert modes == set(GenMode)
     assert digest.hexdigest() == SCREEN_CORPUS_DIGEST
+
+
+def reference_screen(grid: NumberedGrid) -> ScreenReport:
+    """screen as it was before it read the magnitudes once and sorted only
+    for condition 6: each node's neighbors sorted into row-major order
+    first."""
+    violations: list[Violation] = []
+    k = grid.k
+
+    total = grid.total_magnitude()
+    if total % 2 == 1:
+        violations.append(
+            Violation(2, None, f"total magnitude {total} is odd, connections always add 2")
+        )
+
+    nodes = grid.nodes
+    for p, links in zip(nodes, grid._links):
+        nbrs = sorted(q for q, _ in filter(None, links))  # node ids: row-major order
+        r = len(nbrs)
+        if r == 0:
+            violations.append(Violation(1, p.coord, f"node at {p.coord} has no neighbors"))
+            continue
+        nbr_sum = sum(nodes[q].magnitude for q in nbrs)
+        if nbr_sum < p.magnitude:
+            violations.append(
+                Violation(
+                    3,
+                    p.coord,
+                    f"node at {p.coord} needs {p.magnitude} but neighbors only hold {nbr_sum}",
+                )
+            )
+        if p.magnitude > r * k:
+            violations.append(
+                Violation(
+                    5,
+                    p.coord,
+                    f"node at {p.coord} has magnitude {p.magnitude} > r*k = {r}*{k}",
+                )
+            )
+        if k > 1:
+            j = p.magnitude - (r - 1) * k
+            if 2 <= j <= k:
+                for q in nbrs:
+                    if nodes[q].magnitude <= j - 1:
+                        violations.append(
+                            Violation(
+                                6,
+                                p.coord,
+                                f"node at {p.coord} (magnitude {(r - 1)}*{k}+{j}) needs at "
+                                f"least {j} connections with every neighbor, but the one at "
+                                f"{nodes[q].coord} can take at most {nodes[q].magnitude}",
+                            )
+                        )
+                        break
+
+    verdict = ScreenVerdict.UNSOLVABLE if violations else ScreenVerdict.MAYBE_SOLVABLE
+    return ScreenReport(verdict, tuple(violations))
+
+
+# Bound 3, a center of magnitude 3*3+3 with four neighbors, two of which
+# can take at most 2: the top one (first in direction order) and the left
+# one (first in row-major order, which the report names).
+TWO_OFFENDERS = (3, [(1, 1, 12), (1, 2, 1), (2, 1, 3), (1, 0, 3), (0, 1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 12)),
+        min_size=1, max_size=25, unique_by=lambda row: row[:2],
+    ),
+)
+@example(*TWO_OFFENDERS)
+def test_screen_matches_the_reference(k, rows):
+    g = NumberedGrid(k, [node(x, y, m) for x, y, m in rows])
+    assert screen(g) == reference_screen(g)
+
+
+def test_condition_6_names_the_first_offender_in_row_major_order():
+    k, rows = TWO_OFFENDERS
+    report = screen(NumberedGrid(k, [node(x, y, m) for x, y, m in rows]))
+    (v,) = [v for v in report.violations if v.condition == 6]
+    assert str(v.witness) == "(1, 1)"
+    assert v.message.endswith("but the one at (0, 1) can take at most 2")
