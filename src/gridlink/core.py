@@ -14,6 +14,8 @@ PuzzleState keeps multiplicities by edge id and residuals by node id, and
 words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
 _Components, which the verifier, the word test and the generator share.
+A digest hashes a per-grid prefix and one _entry per connected edge; run_tau
+keeps each edge's entry and replaces only those of the edges a step draws.
 
 All types here are immutable values: operations that change a state return a
 new one. The propagation engine and the enumerator step vectors of their own
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import compress
-from operator import getitem
 from typing import Mapping, Optional, Sequence
 
 
@@ -313,15 +314,10 @@ class NumberedGrid:
 
     @cached_property
     def _digest_prefix(self):
-        """sha256 object fed the grid's part of every state digest, which
-        _digest copies."""
+        """sha256 object fed the grid's part of every digest; _digest copies it."""
         import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
         parts = [f"k={self.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.nodes]
         return hashlib.sha256(";".join(parts).encode("ascii"))
-
-    @cached_property
-    def _digest_entries(self) -> "_DigestEntries":
-        return _DigestEntries(self.all_edges)
 
 
 def _grid(k: int, nodes: tuple[Node, ...]) -> NumberedGrid:
@@ -341,21 +337,6 @@ def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> Numbere
     tables = ("_index", "_compiled", "_links", "_ends", "_crossings")
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out
-
-
-class _DigestEntries(dict):
-    """A grid's digest entries ";e:ax,ay,bx,by,m": for each multiplicity m
-    asked for, a tuple of them by edge id, built on first use."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: tuple[EdgeKey, ...]) -> None:
-        super().__init__()
-        self.edges = edges
-
-    def __missing__(self, m: int) -> tuple[str, ...]:
-        entries = self[m] = tuple([f";e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}" for e in self.edges])
-        return entries
 
 
 class PuzzleState:
@@ -478,7 +459,7 @@ class PuzzleState:
         digits of the sha256 of "k=K", then ";n:x,y,magnitude" per node in
         row-major order, then ";e:ax,ay,bx,by,m" per connected edge in
         canonical order, in ASCII."""
-        return _digest(self.grid, self._mult)
+        return _digest(self.grid, [_entry(e, m) for e, m in zip(self.grid.all_edges, self._mult) if m])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuzzleState):
@@ -500,11 +481,16 @@ def _state(grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> Puzzl
     return state
 
 
-def _digest(grid: NumberedGrid, mult: Sequence[int]) -> str:
-    """PuzzleState.digest of the state over grid with multiplicities mult."""
+def _entry(e: EdgeKey, m: int) -> str:
+    """The digest entry ";e:ax,ay,bx,by,m" of m connections on edge e."""
+    return f";e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}"
+
+
+def _digest(grid: NumberedGrid, entries) -> str:
+    """The digest of a state over grid, given the entries of its connected
+    edges in canonical order; an empty string adds nothing."""
     h = grid._digest_prefix.copy()
-    by_mult = map(grid._digest_entries.__getitem__, filter(None, mult))
-    h.update("".join(map(getitem, by_mult, compress(range(len(mult)), mult))).encode("ascii"))
+    h.update("".join(entries).encode("ascii"))
     return h.hexdigest()[:16]
 
 

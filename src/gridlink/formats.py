@@ -13,7 +13,7 @@ edge order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     Coordinate,
@@ -152,13 +152,17 @@ def serialize_solution(records) -> str:
 
 
 def verify_solution(grid: NumberedGrid, records) -> SolvedCheck:
-    """Check claimed connection records against a grid.
+    """Check claimed (edge, multiplicity) records, pairs or a mapping, against a grid.
 
     Accepts exactly the solutions of the grid; anything else comes back with
-    the first reason found (bad pair, capacity, over-connection, crossing,
-    incompleteness, or disconnection).
+    the first reason found (an edge recorded twice, bad pair, capacity,
+    over-connection, crossing, incompleteness, or disconnection).
     """
-    connections = dict(records)
+    connections: dict[EdgeKey, int] = {}
+    for e, m in records.items() if isinstance(records, Mapping) else records:
+        if e in connections:
+            return SolvedCheck(False, f"connection {e} recorded twice")
+        connections[e] = m
     try:
         state = PuzzleState(grid, connections)
     except (GridError, ValueError) as exc:  # ValueError: a multiplicity below 1

@@ -22,16 +22,18 @@ rule fire, the word test's component context, and each node's omega_star
 as far as computed. The next move is the lowest node id of the first
 non-empty table, in rule order, and R4 reads the kept omega_star words.
 A step re-examines only what it can change: the capacity and rules of the
-nodes it connects, their neighbors and the ends of the edges crossing an
-edge it opens; and, when omega_star words are kept, it drops those of the
-same nodes, of the nodes within three links of a node it completes, and of
+nodes it connects, of their neighbors whose capacity toward them it cuts,
+and of the ends of the edges crossing an edge it opens; and, when
+omega_star words are kept, it drops those of the same nodes, of all their
+neighbors, of the nodes within three links of a node it completes, and of
 the nodes near a component it leaves with a small residual sum
-(_Engine.apply and words._Context.join say why). The stall search
-(_stalls_at_start, used by oracle.find_stall_witness) reads the same
-bookkeeping on the empty state, so a change to a rule reaches both. It
-tests first what most often decides a candidate: the engine's first pass,
-stopped at the first node where a check fires; then the same R4 pass,
-_Engine._words, stopped at the first word that is not zero; and the
+(_Engine.apply and words._Context.join say why). run_tau keeps each edge's
+digest entry and replaces only the entries of the edges a step draws. The
+stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
+the same bookkeeping on the empty state, so a change to a rule reaches
+both. It tests first what most often decides a candidate: the engine's
+first pass, stopped at the first node where a check fires; then the same R4
+pass, _Engine._words, stopped at the first word that is not zero; and the
 screens last, which is safe as the engine's checks raise nothing on any
 grid and a screen violation can only turn the answer to False.
 
@@ -56,6 +58,7 @@ from .core import (
     NumberedGrid,
     PuzzleState,
     _digest,
+    _entry,
     _state,
     is_solved,
 )
@@ -277,15 +280,17 @@ class _Engine:
         (touched), and the edges crossing an edge the step opened become
         blocked. Capacity and the local rules read a node's residual, the
         residuals of its neighbors, and the multiplicities and blocked flags
-        of its edges, so they are re-evaluated at touched nodes, their
-        neighbors, and the ends of the edges the step blocked. The context,
-        if built, joins the touched components. Kept omega_star words are
-        dropped at the re-evaluated nodes; within three links of a node the
-        step completed; and at the nodes ctx.join reports and their
-        neighbors -- all that _feasible reads. With none kept, as on runs
-        that need only R1-R3, there is nothing to drop.
+        of its edges, so they are re-evaluated at touched nodes, the ends of
+        the edges the step blocked, and each neighbor of a touched node q
+        whose slot toward q the step cut: q completed, or its residual fell
+        below k - mult on their edge. The context, if built, joins the
+        touched components. Kept omega_star words are dropped at the
+        re-evaluated nodes and all neighbors of touched ones; within three
+        links of a node the step completed; and at the nodes ctx.join
+        reports and their neighbors -- all that _feasible reads. With none
+        kept, as on runs that need only R1-R3, there is nothing to drop.
         """
-        mult, res, adjacent = self.mult, self.res, self.adjacent
+        mult, res, adjacent, k = self.mult, self.res, self.adjacent, self.grid.k
         crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
         touched, opened = [i], []
         for s, q, e in adjacent[i]:
@@ -301,7 +306,8 @@ class _Engine:
         def near(nodes):
             return {q for c in nodes for _, q, _ in adjacent[c]}
 
-        revise = near(touched).union(touched)
+        revise = {c for q in touched for _, c, e in adjacent[q] if res[q] < k - mult[e] or not res[q]}
+        revise.update(touched)
         for e in opened:
             for x in crossings[e]:
                 blocked[x] = True
@@ -316,7 +322,7 @@ class _Engine:
         for _ in range(3):
             frontier = near(frontier) - ball
             ball |= frontier
-        for c in revise.union(ball, joined, near(joined)):
+        for c in revise.union(near(touched), ball, joined, near(joined)):
             self.guaranteed.pop(c, None)
 
 
@@ -344,15 +350,19 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 
     engine = _Engine(state)
     trace: list[TauStep] = []
+    all_edges, entries = grid.all_edges, [""] * len(grid._ends)  # each edge's digest entry, "" while empty
     while True:
         move = engine.next_move()
         if isinstance(move[0], TauStatus):
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        edges = tuple([(grid.all_edges[e], counts[s]) for s, _, e in engine.adjacent[i] if counts[s]])
+        drawn = [(e, counts[s]) for s, _, e in engine.adjacent[i] if counts[s]]
         engine.apply(i, counts)
-        trace.append(TauStep(grid.nodes[i].coord, rule, _word(counts), edges, _digest(grid, engine.mult)))
+        for e, _ in drawn:
+            entries[e] = _entry(all_edges[e], engine.mult[e])
+        edges = tuple([(all_edges[e], m) for e, m in drawn])
+        trace.append(TauStep(grid.nodes[i].coord, rule, _word(counts), edges, _digest(grid, entries)))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:

@@ -222,6 +222,13 @@ class TestVerifySolution:
             check = verify_solution(g, [(edge(0, 0, 1, 0), m)])
             assert not check and check.reason == f"multiplicity must be >= 1, got {m} on (0, 0)-(1, 0)"
 
+    def test_rejects_an_edge_recorded_twice(self):
+        # The first record exceeds k; keeping only the last one would accept the grid.
+        g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1)])
+        check = verify_solution(g, [(edge(0, 0, 1, 0), 2), (edge(0, 0, 1, 0), 1)])
+        assert not check and check.reason == "connection (0, 0)-(1, 0) recorded twice"
+        assert verify_solution(g, [(edge(0, 0, 1, 0), 1)]) and verify_solution(g, {edge(0, 0, 1, 0): 1})
+
 
 class TestRenderBoard:
     def test_solved_pair_uses_single_dash(self):

@@ -29,7 +29,6 @@ from gridlink import (
     screen,
 )
 import gridlink.tau as tau_module
-from gridlink.core import _digest
 from gridlink.tau import _Engine, _stalls_at_start, _toward
 from gridlink.words import _Context
 
@@ -123,13 +122,18 @@ class TestRunTau:
         assert len(out.trace) <= g.total_magnitude()
 
     def test_replayed_trace_reaches_final_state(self):
-        g = square_grid()
-        out = run_tau(g)
-        s = PuzzleState.empty(g)
-        for step in out.trace:
-            s = apply_builder(s, g.node_at(step.node), step.word)
-            assert s.digest() == step.state_digest
-        assert s == out.final_state
+        # The k=2 grids raise an edge that already has a connection five
+        # times, so run_tau must replace that edge's kept digest entry.
+        raised = 0
+        for g in [square_grid()] + generated([(6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10))]):
+            out = run_tau(g)
+            s = PuzzleState.empty(g)
+            for step in out.trace:
+                raised += sum(1 for e, _ in step.edges if s.multiplicity(e))
+                s = apply_builder(s, g.node_at(step.node), step.word)
+                assert s.digest() == step.state_digest
+            assert s == out.final_state
+        assert raised == 5
 
     def test_deterministic_traces(self):
         g1, g2 = square_grid(), square_grid()
@@ -513,7 +517,7 @@ class TestIncrementalEngine:
             state = PuzzleState.empty(g)
             while True:
                 assert (engine.mult, engine.res) == (list(state._mult), list(state._res))
-                assert _digest(g, engine.mult) == state.digest()
+                assert engine.state.digest() == state.digest()
                 fresh = _Engine(state)
                 assert (engine.caps, engine.fires) == (fresh.caps, fresh.fires)
                 assert engine.blocked == fresh.blocked
@@ -558,21 +562,69 @@ class TestIncrementalEngine:
                 assert w == (None if expected is None else expected.counts), (x, g.nodes[j])
         assert engine.guaranteed[g._index[Coordinate(0, 0)]] is None
 
+    def test_a_neighbor_completed_across_a_full_edge_is_revised(self):
+        # k=2: (0, 0) draws 2 to (1, 0), which then completes toward (2, 0).
+        # (0, 0)'s slot toward (1, 0) was 0 before and after, but (1, 0) no
+        # longer counts as incomplete, so R3 now fires at (0, 0) toward (0, 1).
+        g = NumberedGrid(2, [node(0, 0, 3), node(1, 0, 3), node(2, 0, 1), node(0, 1, 2), node(0, 2, 1)])
+        engine = _Engine(PuzzleState.empty(g))
+        for x, m in ((0, 2), (1, 1)):
+            i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
+            engine.apply(i, tuple(m * (link is not None and link[0] == right) for link in g._links[i]))
+        assert engine.fires == _Engine(engine.state).fires
+        assert engine.fires[3][g._index[Coordinate(0, 0)]] == _toward(0, 1)
+
+    def test_a_neighbor_whose_slot_stays_capped_drops_omega_star(self):
+        # k=2: (1, 10) hangs from a column of magnitude-3 nodes, so its
+        # component's residual sum stays above twice the largest magnitude
+        # and ctx.join reports nothing. The last step draws one connection
+        # from (1, 10) to (0, 10). (2, 10)'s slot toward (1, 10) stays 2, so
+        # its capacity and rules need no revision; but its word with 2
+        # toward (1, 10) now completes that node and starves (0, 10), so
+        # the omega_star kept for (2, 10) must go.
+        g = NumberedGrid(2, [node(0, 10, 2), node(1, 10, 4), node(2, 10, 2), node(2, 11, 2), node(2, 12, 1)]
+                         + [node(1, y, 1 if y == 2 else 3) for y in range(2, 10)])
+        engine = _Engine(PuzzleState.empty(g))
+        c = g._index[Coordinate(2, 10)]
+
+        def draw(a, b):
+            i, j = g._index[a], g._index[b]
+            engine.apply(i, tuple(int(link is not None and link[0] == j) for link in g._links[i]))
+
+        for y in range(2, 10):
+            draw(Coordinate(1, y), Coordinate(1, y + 1))
+        engine._omega_move()  # fills in the missing omega_star words
+        assert engine.guaranteed[c] == _toward(3, 1)
+        draw(Coordinate(1, 10), Coordinate(0, 10))
+        engine._omega_move()
+        state = engine.state
+        for j, w in engine.guaranteed.items():
+            expected = omega_star(state, g.nodes[j])
+            assert w == (None if expected is None else expected.counts), g.nodes[j]
+        assert engine.guaranteed[c] == (1, 0, 0, 1)
+
     def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
         # Every interior node of a k=1 chain of magnitude-2 nodes is
         # saturated, so the engine solves it with 1199 R1 steps. Re-examining
         # every node's capacity and rules per step made this quadratic; a
-        # step re-examines only the few nodes around it.
+        # step re-examines only the few nodes around it whose view changed,
+        # and formats the digest entry of the one edge it draws.
         n = 1200
         g = NumberedGrid(1, [node(i, 0, 1 if i in (0, n - 1) else 2) for i in range(n)])
-        calls = [0]
-        revise = _Engine._revise
+        calls = {"_revise": 0, "_entry": 0}
+        revise, entry = _Engine._revise, tau_module._entry
 
-        def counted(engine, i):
-            calls[0] += 1
+        def counted_revise(engine, i):
+            calls["_revise"] += 1
             return revise(engine, i)
 
-        monkeypatch.setattr(_Engine, "_revise", counted)
+        def counted_entry(e, m):
+            calls["_entry"] += 1
+            return entry(e, m)
+
+        monkeypatch.setattr(_Engine, "_revise", counted_revise)
+        monkeypatch.setattr(tau_module, "_entry", counted_entry)
         out = run_tau(g)
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
-        assert calls[0] <= 6 * n
+        assert calls["_revise"] <= 4 * n
+        assert calls["_entry"] == n - 1
