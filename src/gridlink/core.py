@@ -7,9 +7,10 @@ nearest node in each axis direction; in sparse grids they may be far away.
 
 Each grid compiles its topology once, over integer ids: a node id is the
 node's position in nodes and an edge id its position in all_edges. The
-tables are a 4-slot link table per node, the endpoints of each edge, and
-the ids of the edges crossing each edge. One pass over plain (x, y) ints
-builds the first two, and a sweep over the same ints the third.
+tables are each node's links, as (slot, neighbor id, edge id) for the
+neighbors that exist, the endpoints of each edge, and the ids of the edges
+crossing each edge. One pass over plain (x, y) ints builds the first two,
+and a sweep over the same ints the third.
 PuzzleState keeps multiplicities by edge id and residuals by node id, and
 words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
@@ -59,10 +60,6 @@ class Direction(IntEnum):
     RIGHT = 2
     BOTTOM = 3
     LEFT = 4
-
-    @property
-    def opposite(self) -> "Direction":
-        return Direction((self + 1) % 4 + 1)  # two steps round the 1..4 cycle
 
 
 @dataclass(frozen=True, order=True)
@@ -210,27 +207,33 @@ class NumberedGrid:
         Nodes are visited in (x, y) order. Each links to the next node on its
         column (slots TOP=0, BOTTOM=2) and row (RIGHT=1, LEFT=3), and hands out
         ids to the edges it is the lower end of, TOP before RIGHT: the canonical
-        edge order. Tables are built from lists, as tuple() over a generator
+        edge order. A node's links arrive LEFT, BOTTOM, TOP, RIGHT, so each row
+        keeps slot order by inserting BOTTOM and TOP at the front and RIGHT
+        after TOP. Tables are built from lists, as tuple() over a generator
         resizes, which fills CPython's free lists.
         """
         n = len(self.nodes)
         xy = [(p.coord.x, p.coord.y) for p in self.nodes] + [(-1, -1)]  # sentinel id n: on no row or column
         by_column = sorted(range(n), key=xy.__getitem__)
-        links: list[list[Optional[tuple[int, int]]]] = [[None] * 4 for _ in range(n)]
+        links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         ends: list[tuple[int, int]] = []
         for a, up in zip(by_column, by_column[1:] + [n]):
             x, y = xy[a]
-            if xy[up][0] == x:
-                links[a][0], links[up][2] = (up, len(ends)), (a, len(ends))
+            top = xy[up][0] == x
+            if top:
+                links[a].insert(0, (0, up, len(ends)))
+                links[up].insert(0, (2, a, len(ends)))
                 ends.append((a, up))
             if xy[a + 1][1] == y:
-                links[a][1], links[a + 1][3] = (a + 1, len(ends)), (a, len(ends))
+                links[a].insert(top, (1, a + 1, len(ends)))
+                links[a + 1].append((3, a, len(ends)))
                 ends.append((a, a + 1))
         return tuple([tuple(row) for row in links]), tuple(ends)
 
     @cached_property
-    def _links(self) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
-        """Per node id, four slots in Direction order, each (neighbor id, edge id) or None."""
+    def _links(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per node id, its existing links as (slot, neighbor id, edge id),
+        in increasing slot order: slot d - 1 points in Direction d."""
         return self._compiled[0]
 
     @cached_property
@@ -248,19 +251,18 @@ class NumberedGrid:
         Neighbors are the nearest node in the shared row or column, not
         necessarily at distance 1.
         """
-        link = self._links[self._index[p.coord]][d - 1]
-        return None if link is None else self.nodes[link[0]]
+        s = d - 1
+        return next((self.nodes[q] for t, q, _ in self._links[self._index[p.coord]] if t == s), None)
 
     def neighbors(self, p: Node) -> dict[Direction, Node]:
         """Existing neighbors of p, keyed by direction."""
-        links = self._links[self._index[p.coord]]
-        return {d: self.nodes[link[0]] for d, link in zip(Direction, links) if link is not None}
+        return {Direction(s + 1): self.nodes[q] for s, q, _ in self._links[self._index[p.coord]]}
 
     def _edge_id(self, e: EdgeKey) -> Optional[int]:
         """The id of e, or None when e does not join neighboring nodes."""
         a, b = self._index.get(e.a), self._index.get(e.b)
         links = () if a is None else self._links[a]
-        return next((link[1] for link in links if link is not None and link[0] == b), None)
+        return next((j for _, q, j in links if q == b), None)
 
     @cached_property
     def all_edges(self) -> tuple[EdgeKey, ...]:
@@ -308,9 +310,6 @@ class NumberedGrid:
         """
         edges = self.all_edges
         return {e: tuple([edges[j] for j in cs]) for e, cs in zip(edges, self._crossings)}
-
-    def total_magnitude(self) -> int:
-        return sum(n.magnitude for n in self.nodes)
 
     @cached_property
     def _digest_prefix(self):
@@ -443,15 +442,12 @@ class PuzzleState:
     def _capacity(self, i: int) -> tuple[int, ...]:
         """remaining_capacity of node id i, as counts in Direction order."""
         grid, mult = self.grid, self._mult
-        caps = []
-        for link in grid._links[i]:
-            cap = 0
-            if link is not None:
-                q, e = link
-                cap = min(grid.k - mult[e], self._res[q])
-                if cap > 0 and not mult[e] and any(mult[c] for c in grid._crossings[e]):
-                    cap = 0
-            caps.append(cap)
+        caps = [0, 0, 0, 0]
+        for s, q, e in grid._links[i]:
+            cap = min(grid.k - mult[e], self._res[q])
+            if cap > 0 and not mult[e] and any(mult[c] for c in grid._crossings[e]):
+                cap = 0
+            caps[s] = cap
         return tuple(caps)
 
     def digest(self) -> str:

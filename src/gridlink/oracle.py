@@ -91,7 +91,7 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     degree = [0] * n_nodes
     # Per node: k * (number of incident edges not yet assigned); an upper
     # bound on connections the node can still receive.
-    headroom = [k * (4 - node_links.count(None)) for node_links in links]
+    headroom = [k * len(node_links) for node_links in links]
     values = [0] * len(edges)
     found: list[dict] = []
 

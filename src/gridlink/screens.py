@@ -65,7 +65,7 @@ def screen(grid: NumberedGrid) -> ScreenReport:
         )
 
     for p, m, links in zip(nodes, mags, grid._links):
-        nbrs = [q for q, _ in filter(None, links)]  # node ids, in Direction order
+        nbrs = [q for _, q, _ in links]  # node ids, in Direction order
         r = len(nbrs)
         if r == 0:
             violations.append(Violation(1, p.coord, f"node at {p.coord} has no neighbors"))

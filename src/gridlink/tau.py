@@ -111,14 +111,15 @@ def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
     zero word is the identity. Capacity, residual, and crossing violations
     propagate from the underlying connection bookkeeping.
     """
-    grid = state.grid
+    grid, counts = state.grid, word.counts
     links = grid._links[grid._index[p.coord]]
-    for d, link, c in zip(Direction, links, word.counts):
-        if c and link is None:
+    slots = {s for s, _, _ in links}
+    for d, c in zip(Direction, counts):
+        if c and d - 1 not in slots:
             raise ValueError(f"word sends {c} connections {d.name}, but {p.coord} has no neighbor there")
-    for link, c in zip(links, word.counts):
-        if c:
-            state = state.add_connections(grid.all_edges[link[1]], c)
+    for s, _, e in links:
+        if counts[s]:
+            state = state.add_connections(grid.all_edges[e], counts[s])
     return state
 
 
@@ -132,18 +133,20 @@ class _Engine:
     """The engine's working state and its bookkeeping, carried across steps.
 
     mult and res are the state's vectors, by edge id and node id, which
-    apply steps in place. adjacent holds each node id's links that exist, as
-    (slot, neighbor id, edge id); caps each node id's capacity per direction
-    (None once the node is completed); fires, per check in _RULE_ORDER, maps
-    each node id where it fires to its counts (the caps for over-capacity,
-    the forced word for a rule); blocked, per edge id, whether a positive
-    edge crosses it; ctx the word test's context, built when R4 first needs
-    it; and guaranteed each node's omega_star counts (None for no feasible
-    word), as far as computed since then.
+    apply steps in place. links is the grid's link table, each node id's
+    existing links as (slot, neighbor id, edge id); caps each node id's
+    capacity per direction (None once the node is completed); fires, per
+    check in _RULE_ORDER, maps each node id where it fires to its counts
+    (the caps for over-capacity, the forced word for a rule); blocked, per
+    edge id, whether a positive edge crosses it; ctx the word test's
+    context, built when R4 first needs it; and guaranteed each node's
+    omega_star counts (None for no feasible word), as far as computed since
+    then.
     """
 
     def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
         grid = self.grid = state.grid
+        self.links = grid._links
         self.mult, self.res = list(state._mult), list(state._res)
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
         self.fires: list[dict[int, tuple[int, ...]]] = [{}, {}, {}, {}]
@@ -155,11 +158,9 @@ class _Engine:
                 self.blocked[c] = True
         self.ctx: Optional[_Context] = None
         self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
-        self.adjacent: list[tuple[tuple[int, int, int], ...]] = []
         # With stop_at_fire (the stall probe), the first pass ends at the first
         # node where a check fires, and the later nodes are left unset.
-        for i, links in enumerate(grid._links):
-            self.adjacent.append(tuple([(s, *link) for s, link in enumerate(links) if link]))
+        for i in range(len(self.res)):
             self._revise(i)
             if stop_at_fire and any(self.fires):
                 break
@@ -183,10 +184,10 @@ class _Engine:
             single.pop(i, None)
             one_open.pop(i, None)
             return
-        mult, blocked, k, adjacent = self.mult, self.blocked, self.grid.k, self.adjacent[i]
+        mult, blocked, k, links = self.mult, self.blocked, self.grid.k, self.links[i]
         caps = [0, 0, 0, 0]
         room = n_open = 0
-        for s, q, e in adjacent:
+        for s, q, e in links:
             rq = res[q]
             if rq:
                 n_open += 1
@@ -205,8 +206,8 @@ class _Engine:
                 full[i] = caps
             else:
                 full.pop(i, None)
-        if len(adjacent) == 1:
-            single[i] = _toward(adjacent[0][0], r)
+        if len(links) == 1:
+            single[i] = _toward(links[0][0], r)
         else:
             single.pop(i, None)
         if n_open == 1:
@@ -265,7 +266,7 @@ class _Engine:
             if w is None:
                 return TauStatus.UNSOLVABLE, f"node at {grid.nodes[i].coord} has no feasible configuration left"
             if any(w):
-                r = 4 - grid._links[i].count(None)
+                r = len(self.links[i])
                 key = (r, -abs(self.res[i] - (r * grid.k) // 2), i)
                 if best is None or key < best[0]:
                     best = key, w
@@ -290,10 +291,10 @@ class _Engine:
         reports and their neighbors -- all that _feasible reads. With none
         kept, as on runs that need only R1-R3, there is nothing to drop.
         """
-        mult, res, adjacent, k = self.mult, self.res, self.adjacent, self.grid.k
+        mult, res, links, k = self.mult, self.res, self.links, self.grid.k
         crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
         touched, opened = [i], []
-        for s, q, e in adjacent[i]:
+        for s, q, e in links[i]:
             m = counts[s]
             if m:
                 if not mult[e]:
@@ -304,9 +305,9 @@ class _Engine:
                 touched.append(q)
 
         def near(nodes):
-            return {q for c in nodes for _, q, _ in adjacent[c]}
+            return {q for c in nodes for _, q, _ in links[c]}
 
-        revise = {c for q in touched for _, c, e in adjacent[q] if res[q] < k - mult[e] or not res[q]}
+        revise = {c for q in touched for _, c, e in links[q] if res[q] < k - mult[e] or not res[q]}
         revise.update(touched)
         for e in opened:
             for x in crossings[e]:
@@ -357,7 +358,7 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        drawn = [(e, counts[s]) for s, _, e in engine.adjacent[i] if counts[s]]
+        drawn = [(e, counts[s]) for s, _, e in grid._links[i] if counts[s]]
         engine.apply(i, counts)
         for e, _ in drawn:
             entries[e] = _entry(all_edges[e], engine.mult[e])

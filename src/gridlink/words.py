@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Direction, Node, NumberedGrid, PuzzleState, _Components
+from .core import Node, NumberedGrid, PuzzleState, _Components
 
 
 class NoConfigurationsError(ValueError):
@@ -41,21 +41,6 @@ class ConfigWord:
     @property
     def counts(self) -> tuple[int, int, int, int]:
         return (self.top, self.right, self.bottom, self.left)
-
-    @property
-    def length(self) -> int:
-        return self.top + self.right + self.bottom + self.left
-
-    @property
-    def is_zero(self) -> bool:
-        return self.length == 0
-
-    def count(self, d: Direction) -> int:
-        return self.counts[d - 1]
-
-    @classmethod
-    def zero(cls) -> "ConfigWord":
-        return cls(0, 0, 0, 0)
 
     @classmethod
     def from_counts(cls, counts: Iterable[int]) -> "ConfigWord":
@@ -164,7 +149,8 @@ class _Context(_Components):
     """What the word test reads of a state besides residuals and capacities.
 
     The components of the positive edges of mult, as in _Components, plus
-    links, the grid's link table, and sums, each component's sum of the
+    links, the grid's link table (each node id's existing links as (slot,
+    neighbor id, edge id)), and sums, each component's sum of the
     residuals res (by node id). dead is the verdict that rules out every
     word at once: a completed component does not span the grid, or an
     incomplete node has only completed neighbors (it is starved). Once true
@@ -179,7 +165,7 @@ class _Context(_Components):
         self.links = grid._links
         self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
         self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(
-            r and all(not res[q] for q, _ in filter(None, links)) for r, links in zip(res, grid._links)
+            r and all(not res[q] for _, q, _ in links) for r, links in zip(res, grid._links)
         )
         # A word at node id i seals a component only if the residual sums it
         # merges add up to twice i's residual, which is at most this.
@@ -230,16 +216,16 @@ def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, .
     res, total = residual[i], len(residual)
     # A word starves the neighbor in a lonely slot unless it completes it,
     # and a node two links away if it completes every slot of its cut.
-    left = [residual[link[0]] if link else 0 for link in links[i]]
-    slot = {link[0]: s for s, link in enumerate(links[i]) if link and residual[link[0]]}
+    slot = {q: s for s, q, _ in links[i] if residual[q]}
+    left = {s: residual[q] for q, s in slot.items()}
     labels = [(s, label[q]) for q, s in slot.items()]
     lonely, cuts = [], set()
     for q, s in slot.items():
-        beyond = [p for p, _ in filter(None, links[q]) if p != i and residual[p]]
+        beyond = [p for _, p, _ in links[q] if p != i and residual[p]]
         if not beyond:
             lonely.append(s)
         for p in beyond:
-            around = [c for c, _ in filter(None, links[p]) if residual[c]]
+            around = [c for _, c, _ in links[p] if residual[c]]
             if all(c in slot for c in around):
                 cuts.add(tuple([slot[c] for c in around]))
 

@@ -132,7 +132,7 @@ def test_criterion_05_guaranteed_connections_are_sound(corpus, corpus_solutions)
         for p in grid.nodes:
             w = omega_star(state, p)
             assert w is not None, "no feasible word on a solvable grid"
-            if w.is_zero:
+            if not any(w.counts):
                 continue
             checked += 1
             for solution in sols.solutions:
@@ -143,7 +143,7 @@ def test_criterion_05_guaranteed_connections_are_sound(corpus, corpus_solutions)
                         if q is not None
                         else 0
                     )
-                    assert w.count(d) <= used, (
+                    assert w.counts[d - 1] <= used, (
                         f"guaranteed word {w} at {p.coord} not inside a solution"
                     )
     assert checked > 0

@@ -66,7 +66,7 @@ class TestNeighbor:
             for d in Direction:
                 q = g.neighbor(p, d)
                 if q is not None:
-                    assert g.neighbor(q, d.opposite) == p
+                    assert g.neighbor(q, Direction((d + 1) % 4 + 1)) == p  # two steps round the 1..4 cycle
 
     @settings(max_examples=80, derandomize=True)
     @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=15))
@@ -145,10 +145,11 @@ class TestSegmentsCross:
         step = dict(zip(Direction, [(0, 1), (1, 0), (0, -1), (-1, 0)]))
         slots = []
         for i, row in enumerate(g._links):
-            for d, link in zip(Direction, row):
-                if link is None:
-                    continue
-                q, e = link
+            # Only existing links are listed, no placeholder, in strictly increasing slot order.
+            assert None not in row and all(len(link) == 3 for link in row)
+            assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
+            for s, q, e in row:
+                d = Direction(s + 1)
                 # A node's TOP and RIGHT slots hold the edges it is the lower end of.
                 lower = d in (Direction.TOP, Direction.RIGHT)
                 assert g._ends[e] == ((i, q) if lower else (q, i))
@@ -358,7 +359,7 @@ class TestIsSolved:
         for e in [edge(0, 0, 1, 0), edge(0, 0, 0, 1), edge(1, 0, 1, 1), edge(0, 1, 1, 1)]:
             s = s.add_connections(e, 1)
         assert is_solved(s)
-        assert g.total_magnitude() == 2 * sum(s.connections().values())
+        assert sum(n.magnitude for n in g.nodes) == 2 * sum(s.connections().values())
 
 
 def bfs_partition(grid, edge_ids):

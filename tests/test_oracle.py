@@ -81,7 +81,7 @@ def reference_enumerate(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     degree = [0] * n_nodes
     # Per node: k * (number of incident edges not yet assigned); an upper
     # bound on connections the node can still receive.
-    headroom = [k * (4 - node_links.count(None)) for node_links in links]
+    headroom = [k * len(node_links) for node_links in links]
     values = [0] * len(edges)
     found: list[dict] = []
 
@@ -94,7 +94,7 @@ def reference_enumerate(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
             c = stack.pop()
             if degree[c] != magnitude[c]:
                 return False
-            for q, e in filter(None, links[c]):
+            for _, q, e in links[c]:
                 if values[e] > 0 and q not in comp:
                     comp.add(q)
                     stack.append(q)
