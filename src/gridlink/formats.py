@@ -184,14 +184,9 @@ def render_board(state: PuzzleState) -> str:
     if (max_x + 1) * (max_y + 1) > _MAX_BOARD_CELLS:
         raise ValueError(f"{max_x + 1}x{max_y + 1} board exceeds the {_MAX_BOARD_CELLS} cells render draws")
 
-    def cell_text(c: Coordinate) -> str:
-        n = grid.node_at(c)
-        if n is None:
-            return "."
-        res = state.residual(n)
-        return f"{n.magnitude}({res})" if res else f"{n.magnitude}"
-
-    width = max(len(cell_text(Coordinate(x, y))) for y in range(max_y + 1) for x in range(max_x + 1))
+    texts = {(n.coord.x, n.coord.y): f"{n.magnitude}({r})" if r else f"{n.magnitude}"
+             for n, r in zip(grid.nodes, state._res)}
+    width = max(map(len, texts.values()))  # an empty cell's "." is never wider
 
     # (horizontal, x, y) of each unit gap a connection covers -> multiplicity;
     # a horizontal gap runs from (x, y) to (x + 1, y), a vertical one upward.
@@ -208,7 +203,7 @@ def render_board(state: PuzzleState) -> str:
     for y in range(max_y, -1, -1):
         row_parts = []
         for x in range(max_x + 1):
-            row_parts.append(cell_text(Coordinate(x, y)).center(width))
+            row_parts.append(texts.get((x, y), ".").center(width))
             if x < max_x:
                 m = gaps.get((True, x, y), 0)
                 row_parts.append(h_glyphs.get(m, f"-{m}-".center(3)) if m else " " * 3)

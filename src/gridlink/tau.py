@@ -17,10 +17,11 @@ the capacity it computes, next to the over-capacity check that proves a
 node dead. run_tau loops over the step function of an _Engine, which
 steps its own multiplicity and residual vectors in place and carries its
 bookkeeping from step to step: each incomplete node's capacity, the edges
-a positive edge crosses, the nodes where the over-capacity check and each
-rule fire, the word test's component context, and each node's omega_star
-as far as computed. The next move is the lowest node id of the first
-non-empty table, in rule order, and R4 reads the kept omega_star words.
+a positive edge crosses, the ids of the nodes where the over-capacity
+check and each rule fire, the word test's component context, and each
+node's omega_star as far as computed. The next move is the lowest node id
+of the first non-empty table, in rule order, its word read off the node's
+capacity, and R4 reads the kept omega_star words.
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, of their neighbors whose capacity toward them it cuts,
 and of the ends of the edges crossing an edge it opens; and, when
@@ -123,12 +124,6 @@ def apply_builder(state: PuzzleState, p: Node, word: ConfigWord) -> PuzzleState:
     return state
 
 
-def _toward(slot: int, m: int) -> tuple[int, ...]:
-    counts = [0, 0, 0, 0]
-    counts[slot] = m
-    return tuple(counts)
-
-
 class _Engine:
     """The engine's working state and its bookkeeping, carried across steps.
 
@@ -136,12 +131,11 @@ class _Engine:
     apply steps in place. links is the grid's link table, each node id's
     existing links as (slot, neighbor id, edge id); caps each node id's
     capacity per direction (None once the node is completed); fires, per
-    check in _RULE_ORDER, maps each node id where it fires to its counts
-    (the caps for over-capacity, the forced word for a rule); blocked, per
-    edge id, whether a positive edge crosses it; ctx the word test's
-    context, built when R4 first needs it; and guaranteed each node's
-    omega_star counts (None for no feasible word), as far as computed since
-    then.
+    check in _RULE_ORDER, the set of node ids where it fires (next_move
+    builds the chosen node's word from its caps); blocked, per edge id,
+    whether a positive edge crosses it; ctx the word test's context, built
+    when R4 first needs it; and guaranteed each node's omega_star counts
+    (None for no feasible word), as far as computed since then.
     """
 
     def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
@@ -149,7 +143,7 @@ class _Engine:
         self.links = grid._links
         self.mult, self.res = list(state._mult), list(state._res)
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
-        self.fires: list[dict[int, tuple[int, ...]]] = [{}, {}, {}, {}]
+        self.fires: list[set[int]] = [set(), set(), set(), set()]
         # A blocked edge is empty, as positive edges never cross; and
         # multiplicities only grow here, so an edge once blocked stays so.
         self.blocked = [False] * len(self.mult)
@@ -176,14 +170,12 @@ class _Engine:
         nodes with one neighbor first)."""
         res = self.res
         r = res[i]
-        over, full, single, one_open = self.fires
         if not r:
             self.caps[i] = None
-            over.pop(i, None)
-            full.pop(i, None)
-            single.pop(i, None)
-            one_open.pop(i, None)
+            for table in self.fires:
+                table.discard(i)
             return
+        over, full, single, one_open = self.fires
         mult, blocked, k, links = self.mult, self.blocked, self.grid.k, self.links[i]
         caps = [0, 0, 0, 0]
         room = n_open = 0
@@ -191,47 +183,48 @@ class _Engine:
             rq = res[q]
             if rq:
                 n_open += 1
-                open_slot = s
                 if not blocked[e]:
                     cap = k - mult[e]
                     caps[s] = cap = rq if rq < cap else cap
                     room += cap
-        caps = self.caps[i] = tuple(caps)
+        self.caps[i] = tuple(caps)
         if r > room:
-            over[i] = caps
-            full.pop(i, None)
+            over.add(i)
         else:
-            over.pop(i, None)
-            if r == room:
-                full[i] = caps
-            else:
-                full.pop(i, None)
+            over.discard(i)
+        if r == room:
+            full.add(i)
+        else:
+            full.discard(i)
         if len(links) == 1:
-            single[i] = _toward(links[0][0], r)
+            single.add(i)
         else:
-            single.pop(i, None)
+            single.discard(i)
         if n_open == 1:
-            one_open[i] = _toward(open_slot, r)
+            one_open.add(i)
         else:
-            one_open.pop(i, None)
+            one_open.discard(i)
 
     def next_move(self):
         """The next step as (node id, rule, word counts), or the verdict as
         (status, reason).
 
         The lowest node id where the over-capacity check fires proves the
-        state unsolvable; else the lowest node id where the first local rule
-        in table order fires gives the step; else R4 decides.
+        state unsolvable; else R4 decides, unless a local rule fires: then
+        the lowest node id where the first in table order fires takes its
+        caps clipped at its residual r. R1's caps sum to r; R2's and R3's one
+        slot with room holds at least r, as no node is over capacity.
         """
         for rule, table in zip(_RULE_ORDER, self.fires):
             if table:
                 i = min(table)
+                caps, r = self.caps[i], self.res[i]
                 if rule is None:
                     return TauStatus.UNSOLVABLE, (
-                        f"node at {self.grid.nodes[i].coord} needs {self.res[i]} more connections but only "
-                        f"{sum(table[i])} remain available around it"
+                        f"node at {self.grid.nodes[i].coord} needs {r} more connections but only "
+                        f"{sum(caps)} remain available around it"
                     )
-                return i, rule, table[i]
+                return i, rule, tuple([c if c < r else r for c in caps])
         if not any(self.res):
             check = is_solved(self.state)
             # All nodes completed by forced moves, yet not a solution: the

@@ -111,13 +111,15 @@ def enumerate_phi_k(n: int, k: int) -> WordSet:
 
 def _spread(n: int, caps: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
     """Every way to send n connections over the four directions, at most
-    caps[d] toward direction d, as counts in lexicographic order."""
+    caps[d] toward direction d, as counts in lexicographic order. Each loop
+    starts where the later caps can take the rest, so it visits only words."""
     c0, c1, c2, c3 = caps
-    for t in range(min(n, c0) + 1):
-        for r in range(min(n - t, c1) + 1):
-            for b in range(min(n - t - r, c2) + 1):
-                if n - t - r - b <= c3:
-                    yield t, r, b, n - t - r - b
+    for t in range(max(0, n - c1 - c2 - c3), min(n, c0) + 1):
+        rest = n - t
+        for r in range(rest - c2 - c3 if rest > c2 + c3 else 0, (rest if rest < c1 else c1) + 1):
+            left = rest - r
+            for b in range(left - c3 if left > c3 else 0, (left if left < c2 else c2) + 1):
+                yield t, r, b, left - b
 
 
 def count_configs(n: int, r: int, k: int) -> int:

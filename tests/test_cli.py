@@ -187,6 +187,15 @@ class TestSubprocessInvocation:
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
+    def test_tau_on_a_large_magnitude_square_answers(self, tmp_path):
+        # k = K = 5000 on the 2x2 square: each corner has K + 1 words, which
+        # the word test must list without walking every pair of counts.
+        p = tmp_path / "square.puzzle"
+        p.write_text("k 5000\n" + "".join(f"node {x} {y} 5000\n" for x in (0, 1) for y in (0, 1)))
+        r = self.run("tau", p, "--json", timeout=10)
+        assert r.returncode == 3
+        assert json.loads(r.stdout)["status"] == "stalled"
+
     def test_count_table_csv(self):
         r = self.run("count-table", "--neighbors", 4, "--k-max", 2, "--csv")
         assert r.returncode == 0

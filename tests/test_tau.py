@@ -29,7 +29,7 @@ from gridlink import (
     screen,
 )
 import gridlink.tau as tau_module
-from gridlink.tau import _Engine, _stalls_at_start, _toward
+from gridlink.tau import _Engine, _stalls_at_start
 from gridlink.words import _Context
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,6 +37,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def context(state):
     return _Context(state.grid, state._mult, state._res)
+
+
+def _toward(slot, m):
+    """Word counts with m toward slot and 0 elsewhere."""
+    counts = [0, 0, 0, 0]
+    counts[slot] = m
+    return tuple(counts)
 
 
 def square_grid():
@@ -572,10 +579,13 @@ class TestIncrementalEngine:
         # Each step draws part of what one solution puts on a random slot of
         # a random incomplete node, so it can lower a neighbor's residual
         # without completing anything: a word kept at a neighbor of that
-        # neighbor may then complete it and starve another node. With seed
-        # 8, a drop set in _Engine.apply without all neighbors of the
-        # touched nodes leaves six such stale words on this walk.
-        walk_toward_solutions(PARTIAL_WALK_CORPUS, partial_slot, 8, least_steps=3000, least_checks=25000)
+        # neighbor may then complete it and starve another node. A drop set
+        # in _Engine.apply without all neighbors of the touched nodes leaves
+        # six such stale words on the walk with seed 8 and four with seed 0;
+        # some other seeds find none, so the test takes both walks rather
+        # than rely on one draw.
+        for seed in (8, 0):
+            walk_toward_solutions(PARTIAL_WALK_CORPUS, partial_slot, seed, least_steps=3000, least_checks=25000)
 
     def test_a_join_between_one_and_two_magnitudes_drops_omega_star(self):
         # A k=4 row (0, 0)..(5, 0) of magnitudes 4 5 2 2 2 1, beside a far
@@ -612,7 +622,10 @@ class TestIncrementalEngine:
             i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
             engine.apply(i, _toward(next(s for s, q, _ in g._links[i] if q == right), m))
         assert engine.fires == _Engine(engine.state).fires
-        assert engine.fires[3][g._index[Coordinate(0, 0)]] == _toward(0, 1)
+        # next_move takes an R1 step elsewhere, so read the word's source:
+        # (0, 0) needs 1 and has room toward (0, 1) alone.
+        i = g._index[Coordinate(0, 0)]
+        assert i in engine.fires[3] and (engine.res[i], engine.caps[i]) == (1, (2, 0, 0, 0))
 
     def test_a_neighbor_whose_slot_stays_capped_drops_omega_star(self):
         # k=2: (1, 10) hangs from a column of magnitude-3 nodes, so its

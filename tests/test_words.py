@@ -26,7 +26,7 @@ from gridlink import (
     omega_star,
     word_meet,
 )
-from gridlink.words import _Context
+from gridlink.words import _Context, _spread
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
 PHI_5_2 = {
@@ -78,6 +78,13 @@ class TestEnumeratePhi:
                 enumerate_phi_k(n, k)
         else:
             assert len(enumerate_phi_k(n, k)) == count_configs(n, 4, k)
+
+    def test_spread_lists_every_capped_word_in_order(self):
+        # Unequal and zero caps, against the full product filtered to sum n.
+        for caps in itertools.product(range(4), (0, 2, 5), range(3), (0, 1, 4)):
+            for n in range(sum(caps) + 2):
+                listing = [c for c in itertools.product(*(range(c + 1) for c in caps)) if sum(c) == n]
+                assert list(_spread(n, caps)) == listing, (n, caps)
 
 
 class TestCountConfigs:
