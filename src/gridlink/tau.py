@@ -277,9 +277,10 @@ class _Engine:
         of its edges, so they are re-evaluated at touched nodes, the ends of
         the edges the step blocked, and each neighbor of a touched node q
         whose slot toward q the step cut: q completed, or its residual fell
-        below k - mult on their edge. The context, if built, joins the
-        touched components. Kept omega_star words are dropped at the
-        re-evaluated nodes and all neighbors of touched ones; within three
+        below k - mult on their edge; a node completed in an earlier step is
+        in no check table and is skipped. The context, if built, joins the
+        touched components. Kept omega_star words are dropped at all these
+        nodes and all neighbors of touched ones; within three
         links of a node the step completed; and at the nodes ctx.join
         reports and their neighbors -- all that _feasible reads. With none
         kept, as on runs that need only R1-R3, there is nothing to drop.
@@ -307,7 +308,8 @@ class _Engine:
                 blocked[x] = True
                 revise.update(ends[x])
         for c in revise:
-            self._revise(c)
+            if self.caps[c] is not None:  # else completed in an earlier step
+                self._revise(c)
         joined = self.ctx.join(res, touched, 2 * sum(counts)) if self.ctx else []
         if not self.guaranteed:
             return

@@ -9,13 +9,15 @@ This module enumerates the grid-agnostic word set for a magnitude, counts it
 by generating-function dynamic programming, filters it down to the words that
 are feasible in a concrete state, and intersects the survivors into the
 guaranteed-connection word. The filter reads the state once per call (its
-residuals and connected components) and then judges each word by the few
-nodes it changes, not by rebuilding the state the word would leave.
+residuals and components, and the slots a word must fill or must not fill
+all of) and judges each word by two masks, the slots it fills and uses; it
+sums components only for a word that fills every slot it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Node, NumberedGrid, PuzzleState, _Components
@@ -210,39 +212,55 @@ def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, .
     neighbors (through i) and the incomplete nodes two links away (through
     the neighbors it completes), and whether such a node's other neighbors
     are completed does not depend on the word. That part is read once per
-    call. Each word then reads only its residuals at i's neighbors, the
-    labels of i and its neighbors and the sums and sizes of their
-    components.
+    call into slot masks (bit s for slot s): need, the lonely slots, and
+    cuts, the slots of each node two links away whose incomplete neighbors
+    all neighbor i. A word is then judged by two masks: full, the slots s
+    where it sends left[s], the residual of the neighbor there (-1 if none),
+    and nz, the slots it uses. It starves a node unless full covers need and
+    holds no whole cut.
+
+    It seals a component only if full == nz: the component it forms holds i
+    and each neighbor it uses, once, so its residual sum is at least res(i)
+    plus those neighbors' residuals, which add up to at least res(i), the
+    connections the word sends them. A seal needs the sum to be 2 * res(i),
+    so each neighbor used must get its whole residual. Only such a word
+    reads the labels and sums of components.
     """
     label, members, sums, links = ctx.label, ctx.members, ctx.sums, ctx.links
     res, total = residual[i], len(residual)
-    # A word starves the neighbor in a lonely slot unless it completes it,
-    # and a node two links away if it completes every slot of its cut.
-    slot = {q: s for s, q, _ in links[i] if residual[q]}
-    left = {s: residual[q] for q, s in slot.items()}
-    labels = [(s, label[q]) for q, s in slot.items()]
-    lonely, cuts = [], set()
+    left, lab, slot = [-1, -1, -1, -1], [None] * 4, {}
+    for s, q, _ in links[i]:
+        if residual[q]:
+            left[s], lab[s], slot[q] = residual[q], label[q], s
+    need, cuts = 0, []
     for q, s in slot.items():
-        beyond = [p for _, p, _ in links[q] if p != i and residual[p]]
-        if not beyond:
-            lonely.append(s)
-        for p in beyond:
-            around = [c for _, c, _ in links[p] if residual[c]]
-            if all(c in slot for c in around):
-                cuts.add(tuple([slot[c] for c in around]))
+        need |= 1 << s  # until q shows another incomplete neighbor p
+        for _, p, _ in links[q]:
+            if p != i and residual[p]:
+                need &= ~(1 << s)
+                cut = 0
+                for _, c, _ in links[p]:
+                    if residual[c]:
+                        if c not in slot:
+                            break
+                        cut |= 1 << slot[c]
+                else:
+                    cuts.append(cut)
 
     # Capacity toward a direction is at most k, so only words within caps
     # are generated; there are none when res > 4k. A word uses only the
     # incomplete neighbors, as caps is 0 toward the others.
+    l0, l1, l2, l3 = left
     survivors = []
     for counts in _spread(res, caps):
-        merged = {label[i]}.union([j for s, j in labels if counts[s]])
-        if sum(sums[j] for j in merged) == 2 * res and sum(len(members[j]) for j in merged) < total:
+        t, r, b, l = counts
+        full = (t == l0) | (r == l1) << 1 | (b == l2) << 2 | (l == l3) << 3
+        if full & need != need or cuts and any(full & c == c for c in cuts):
             continue
-        if any(counts[s] < left[s] for s in lonely):
-            continue
-        if any(all(counts[s] == left[s] for s in cut) for cut in cuts):
-            continue
+        if full == (t > 0) | (r > 0) << 1 | (b > 0) << 2 | (l > 0) << 3:
+            merged = {label[i]}.union(compress(lab, counts))
+            if sum(sums[j] for j in merged) == 2 * res and sum(len(members[j]) for j in merged) < total:
+                continue
         survivors.append(counts)
     return survivors
 

@@ -679,5 +679,5 @@ class TestIncrementalEngine:
         monkeypatch.setattr(tau_module, "_entry", counted_entry)
         out = run_tau(g)
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
-        assert calls["_revise"] <= 4 * n
+        assert calls["_revise"] <= 3 * n
         assert calls["_entry"] == n - 1

@@ -24,6 +24,7 @@ from gridlink import (
     generate,
     node,
     omega_star,
+    run_tau,
     word_meet,
 )
 from gridlink.words import _Context, _spread
@@ -185,9 +186,10 @@ def components(grid, edges):
             yield comp
 
 
-def whole_state_feasible(state, p):
+def whole_state_feasible(state, p, sealers=None):
     """enumerate_feasible by its definition: apply each word that fits and
-    judge the whole state it leaves."""
+    judge the whole state it leaves. The words that seal the component they
+    form, the one holding p, are appended to sealers if given."""
     grid = state.grid
     if state.residual(p) > 4 * grid.k:
         return []
@@ -195,10 +197,12 @@ def whole_state_feasible(state, p):
     for w in fitting_words(state, p, state.residual(p)):
         after = apply_builder(state, p, w)
         left = {n.coord: after.residual(n) for n in grid.nodes}
-        sealed = any(
-            len(comp) < len(grid.nodes) and all(left[c] == 0 for c in comp)
-            for comp in components(grid, after.connections())
-        )
+        sealed = [
+            comp for comp in components(grid, after.connections())
+            if len(comp) < len(grid.nodes) and all(left[c] == 0 for c in comp)
+        ]
+        if sealers is not None and any(p.coord in comp for comp in sealed):
+            sealers.append(w)
         starved = any(
             left[n.coord] > 0 and all(left[q.coord] == 0 for q in grid.neighbors(n).values())
             for n in grid.nodes
@@ -206,6 +210,20 @@ def whole_state_feasible(state, p):
         if not sealed and not starved:
             kept.append(w)
     return kept
+
+
+def engine_states():
+    """The states run_tau passes through on constructive 6x6-8x8 grids with
+    k=2-3, rebuilt by replaying each step's edges from the empty state."""
+    for seed, side, density, k in ((3, 6, 0.5, 3), (5, 7, 0.4, 2), (4, 7, 0.4, 3), (8, 8, 0.3, 2), (13, 8, 0.3, 3)):
+        g = generate(GenSpec(seed=seed, width=side, height=side, node_density=density, k=k,
+                             mode=GenMode.SOLVABLE_BY_CONSTRUCTION))
+        state = PuzzleState.empty(g)
+        yield state
+        for step in run_tau(g).trace:
+            for e, m in step.edges:
+                state = state.add_connections(e, m)
+            yield state
 
 
 def reachable_states(rng, count):
@@ -328,16 +346,29 @@ class TestEnumerateFeasible:
             enumerate_feasible(s, g.nodes[0])
 
     def test_matches_whole_state_definition(self):
-        checked = empty = 0
-        for state in reachable_states(Random(4), 60):
-            for p in state.grid.nodes:
-                if state.residual(p) > 0:
-                    got = list(enumerate_feasible(state, p))
-                    assert got == whole_state_feasible(state, p), (state.digest(), p.coord)
-                    checked += 1
-                    empty += not got
+        # Random reachable states, then the states the engine reaches. A word
+        # that seals the component it forms must send each neighbor it uses
+        # that neighbor's whole residual: _feasible sums components only for
+        # such words.
+        counts = []
+        for states in (reachable_states(Random(4), 60), engine_states()):
+            checked = empty = sealing = 0
+            for state in states:
+                for p in state.grid.nodes:
+                    if state.residual(p) > 0:
+                        got, sealers = list(enumerate_feasible(state, p)), []
+                        assert got == whole_state_feasible(state, p, sealers), (state.digest(), p.coord)
+                        for w in sealers:
+                            for d, q in state.grid.neighbors(p).items():
+                                assert w.counts[d - 1] in (0, state.residual(q)), (w, p.coord)
+                        checked += 1
+                        empty += not got
+                        sealing += len(sealers)
+            counts.append((checked, empty, sealing))
+        (checked, empty, _), (engine_checked, _, engine_sealing) = counts
         # Both outcomes must be well represented for the comparison to mean much.
         assert checked > 1500 and 0.2 < empty / checked < 0.8
+        assert engine_checked > 800 and engine_sealing > 200, counts
 
 
 class TestOmegaStar:
