@@ -343,8 +343,7 @@ class PuzzleState:
 
     Multiplicities are kept by edge id and residuals by node id, as tuples.
     The constructor checks the full invariant set on the map it is given;
-    add_connections checks what one addition can break and updates the two
-    endpoints.
+    add_connections builds the map with the addition and checks it so.
     """
 
     __slots__ = ("grid", "_mult", "_res")
@@ -408,27 +407,9 @@ class PuzzleState:
         """
         if m < 1:
             raise ValueError(f"must add at least one connection, got {m}")
-        grid = self.grid
-        i = grid._edge_id(e)
-        if i is None:
-            raise InvalidConnectionError(f"{e} does not join neighboring nodes")
-        cur = self._mult[i]
-        if cur + m > grid.k:
-            raise CapacityExceeded(f"{cur} + {m} connections on {e} exceeds k={grid.k}")
-        for a in grid._ends[i]:
-            if self._res[a] < m:
-                raise ResidualExceeded(
-                    f"node at {grid.nodes[a].coord} has residual {self._res[a]}, cannot take {m} more"
-                )
-        if cur == 0:
-            for j in grid._crossings[i]:
-                if self._mult[j]:
-                    raise CrossingViolation(f"{e} crosses {grid.all_edges[j]}")
-        mult, res = list(self._mult), list(self._res)
-        mult[i] += m
-        for a in grid._ends[i]:
-            res[a] -= m
-        return _state(grid, mult, res)
+        connections = self.connections()
+        connections[e] = connections.get(e, 0) + m
+        return PuzzleState(self.grid, connections)
 
     def remaining_capacity(self, p: Node) -> dict[Direction, int]:
         """Connections still addable from p in each direction.

@@ -322,11 +322,7 @@ def find_stall_witness(budget: int, spec: GenSpec) -> Optional[NumberedGrid]:
             grid = generate(candidate)
         except GenerationFailure:
             continue
-        # The probe is "run_tau stalls with an empty trace", read off the
-        # engine's bookkeeping on the empty state without running it: first
-        # the local checks, which decide most candidates, then the R4 pass,
-        # and the screens last (safe: on any grid the engine's checks raise
-        # nothing, and a screen violation can only make the answer False).
+        # "run_tau stalls with an empty trace"; _stalls_at_start says how.
         if not _stalls_at_start(grid):
             continue
         sols = enumerate_solutions(grid, limit=2)

@@ -18,17 +18,15 @@ node dead. run_tau loops over the step function of an _Engine, which
 steps its own multiplicity and residual vectors in place and carries its
 bookkeeping from step to step: each incomplete node's capacity, the edges
 a positive edge crosses, the ids of the nodes where the over-capacity
-check and each rule fire, the word test's component context, and each
+check and each rule fire, and the word test's context, which keeps each
 node's omega_star as far as computed. The next move is the lowest node id
 of the first non-empty table, in rule order, its word read off the node's
-capacity, and R4 reads the kept omega_star words.
+capacity, and R4 reads the context's kept words.
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, of their neighbors whose capacity toward them it cuts,
-and of the ends of the edges crossing an edge it opens; and, when
-omega_star words are kept, it drops those of the same nodes, of all their
-neighbors, of the nodes within three links of a node it completes, and of
-the nodes near a component it leaves with a small residual sum
-(_Engine.apply and words._Context.join say why). run_tau keeps each edge's
+and of the ends of the edges crossing an edge it opens; and it reports
+itself to the context, which drops the kept words it may change
+(words._Context.step says which). run_tau keeps each edge's
 digest entry and replaces only the entries of the edges a step draws. The
 stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
 the same bookkeeping on the empty state, so a change to a rule reaches
@@ -64,7 +62,7 @@ from .core import (
     is_solved,
 )
 from .screens import ScreenReport, screen
-from .words import ConfigWord, _Context, _guaranteed, _word
+from .words import ConfigWord, _Context, _word
 
 
 class TauRule(Enum):
@@ -133,9 +131,8 @@ class _Engine:
     capacity per direction (None once the node is completed); fires, per
     check in _RULE_ORDER, the set of node ids where it fires (next_move
     builds the chosen node's word from its caps); blocked, per edge id,
-    whether a positive edge crosses it; ctx the word test's context, built
-    when R4 first needs it; and guaranteed each node's omega_star counts
-    (None for no feasible word), as far as computed since then.
+    whether a positive edge crosses it; and ctx the word test's context,
+    built when R4 first needs it, which keeps the omega_star words.
     """
 
     def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
@@ -151,7 +148,6 @@ class _Engine:
             for c in grid._crossings[e]:
                 self.blocked[c] = True
         self.ctx: Optional[_Context] = None
-        self.guaranteed: dict[int, Optional[tuple[int, ...]]] = {}
         # With stop_at_fire (the stall probe), the first pass ends at the first
         # node where a check fires, and the later nodes are left unset.
         for i in range(len(self.res)):
@@ -238,16 +234,14 @@ class _Engine:
         state dead, (id, None) for the first incomplete node, and no more."""
         if self.ctx is None:
             self.ctx = _Context(self.grid, self.mult, self.res)
-        res, ctx, kept = self.res, self.ctx, self.guaranteed
+        ctx = self.ctx
         for i, caps in enumerate(self.caps):
             if caps is None:
                 continue
             if ctx.dead:
                 yield i, None
                 return
-            if i not in kept:
-                kept[i] = _guaranteed(res, ctx, i, caps)
-            yield i, kept[i]
+            yield i, ctx.word(i, caps)
 
     def _omega_move(self):
         """R4: the omega_star word of the incomplete node with the least
@@ -278,12 +272,8 @@ class _Engine:
         the edges the step blocked, and each neighbor of a touched node q
         whose slot toward q the step cut: q completed, or its residual fell
         below k - mult on their edge; a node completed in an earlier step is
-        in no check table and is skipped. The context, if built, joins the
-        touched components. Kept omega_star words are dropped at all these
-        nodes and all neighbors of touched ones; within three
-        links of a node the step completed; and at the nodes ctx.join
-        reports and their neighbors -- all that _feasible reads. With none
-        kept, as on runs that need only R1-R3, there is nothing to drop.
+        in no check table and is skipped. The step is then reported to the
+        context, if built.
         """
         mult, res, links, k = self.mult, self.res, self.links, self.grid.k
         crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
@@ -298,9 +288,6 @@ class _Engine:
                 res[q] -= m
                 touched.append(q)
 
-        def near(nodes):
-            return {q for c in nodes for _, q, _ in links[c]}
-
         revise = {c for q in touched for _, c, e in links[q] if res[q] < k - mult[e] or not res[q]}
         revise.update(touched)
         for e in opened:
@@ -310,16 +297,8 @@ class _Engine:
         for c in revise:
             if self.caps[c] is not None:  # else completed in an earlier step
                 self._revise(c)
-        joined = self.ctx.join(res, touched, 2 * sum(counts)) if self.ctx else []
-        if not self.guaranteed:
-            return
-        ball = {c for c in touched if not res[c]}
-        frontier = ball
-        for _ in range(3):
-            frontier = near(frontier) - ball
-            ball |= frontier
-        for c in revise.union(near(touched), ball, joined, near(joined)):
-            self.guaranteed.pop(c, None)
+        if self.ctx is not None:
+            self.ctx.step(touched, 2 * sum(counts), revise)
 
 
 def run_tau(grid: NumberedGrid) -> TauOutcome:

@@ -11,7 +11,10 @@ are feasible in a concrete state, and intersects the survivors into the
 guaranteed-connection word. The filter reads the state once per call (its
 residuals and components, and the slots a word must fill or must not fill
 all of) and judges each word by two masks, the slots it fills and uses; it
-sums components only for a word that fills every slot it uses.
+sums components only for a word that fills every slot it uses. A state's
+context (_Context) keeps the words it computed; told of each engine step,
+it drops those the step may change, by the one rule that mirrors the
+filter's reads.
 """
 
 from __future__ import annotations
@@ -150,23 +153,25 @@ def count_configs(n: int, r: int, k: int) -> int:
 
 
 class _Context(_Components):
-    """What the word test reads of a state besides residuals and capacities.
+    """What the word test reads of a state besides capacities, and the
+    omega_star words it has kept.
 
     The components of the positive edges of mult, as in _Components, plus
-    links, the grid's link table (each node id's existing links as (slot,
-    neighbor id, edge id)), and sums, each component's sum of the
-    residuals res (by node id). dead is the verdict that rules out every
-    word at once: a completed component does not span the grid, or an
-    incomplete node has only completed neighbors (it is starved). Once true
-    it stays true, as residuals only fall and a completed node takes no
-    connection.
+    res, the residuals it reads by node id (the engine's own list, stepped
+    in place), links, the grid's link table (each node id's existing links
+    as (slot, neighbor id, edge id)), sums, each component's residual sum,
+    and kept, each node id's omega_star counts as far as computed. dead is
+    the verdict that rules out every word at once: a completed component
+    does not span the grid, or an incomplete node has only completed
+    neighbors (it is starved). Once true it stays true, as residuals only
+    fall and a completed node takes no connection.
     """
 
-    __slots__ = ("links", "sums", "dead", "bound")
+    __slots__ = ("res", "links", "sums", "dead", "bound", "kept")
 
     def __init__(self, grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> None:
         super().__init__(grid, mult)
-        self.links = grid._links
+        self.res, self.links = res, grid._links
         self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
         self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(
             r and all(not res[q] for _, q, _ in links) for r, links in zip(res, grid._links)
@@ -174,35 +179,61 @@ class _Context(_Components):
         # A word at node id i seals a component only if the residual sums it
         # merges add up to twice i's residual, which is at most this.
         self.bound = 2 * max(n.magnitude for n in grid.nodes)
+        self.kept: dict[int, Optional[tuple[int, ...]]] = {}
 
-    def join(self, res: Sequence[int], nodes: list[int], spent: int) -> list[int]:
-        """Merge the components of nodes into one, for a step that lowered
-        their residuals by spent in all; res holds the residuals after it.
+    def word(self, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """omega_star of node id i as counts (None for no feasible word),
+        given i's capacity per direction; kept until a step may change it."""
+        kept = self.kept
+        if i not in kept:
+            words = _feasible(self, i, caps)
+            kept[i] = tuple(map(min, zip(*words))) if words else None
+        return kept[i]
 
-        Returns the incomplete node ids of the merged component when its
-        residual sum is at most bound, else none. A word at i seals a
-        component only if the component's sum is at most bound and each of
-        its incomplete nodes is i or a neighbor the word uses. So only at
-        these nodes and their neighbors can the step make a word newly seal.
-        And where a word sealed a part before the step, or would seal with a
-        node of the step left incomplete, i neighbors a node of the step.
+    def step(self, touched: list[int], spent: int, revised: Iterable[int]) -> None:
+        """Follow a step that lowered the residuals of touched by spent in
+        all (res holds the new ones) and may have changed the capacity of
+        revised: merge the components of touched, and drop each kept word
+        that _feasible could now read differently. That is at the revised
+        nodes; at the neighbors of touched ones, as a word reads its
+        neighbors' residuals; within three links of a node the step
+        completed, as it reads which nodes are complete that far; and, when
+        the merged component's residual sum is at most bound, at its
+        incomplete nodes and their neighbors. A word at i seals a component
+        only if its sum is at most bound and each of its incomplete nodes is
+        i or a neighbor the word uses, so only there can the step make a
+        word newly seal; and where a word sealed a part before the step, or
+        would seal with a touched node left incomplete, i neighbors one.
         """
-        total = sum(self.sums.pop(j) for j in {self.label[c] for c in nodes}) - spent
-        for c in nodes:
-            keep = self.union(nodes[0], c)
+        res, links, kept = self.res, self.links, self.kept
+        total = sum(self.sums.pop(j) for j in {self.label[c] for c in touched}) - spent
+        for c in touched:
+            keep = self.union(touched[0], c)
         self.sums[keep] = total
         members = self.members[keep]
         # Starved nodes are not looked for: one has no capacity left, so the
         # engine's over-capacity check reports it before any word test runs.
         if not total and len(members) < len(self.label):
             self.dead = True
-        return [c for c in members if res[c]] if total <= self.bound else []
+        if not kept:
+            return
+
+        def near(nodes):
+            return {q for c in nodes for _, q, _ in links[c]}
+
+        ball = frontier = {c for c in touched if not res[c]}
+        for _ in range(3):
+            frontier = near(frontier) - ball
+            ball |= frontier
+        joined = [c for c in members if res[c]] if total <= self.bound else []
+        for c in ball.union(revised, near(touched), joined, near(joined)):
+            kept.pop(c, None)
 
 
-def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _feasible(ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The feasible words of node id i, as counts in enumerate_phi_k order,
-    given the residual of each node id, the context of those residuals (not
-    dead) and i's capacity per direction.
+    given the context of the state (not dead) and i's capacity per
+    direction.
 
     See enumerate_feasible for the argument. A word completes i and lowers
     the residuals of the neighbors it uses, and of no other node. Two
@@ -226,7 +257,7 @@ def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, .
     so each neighbor used must get its whole residual. Only such a word
     reads the labels and sums of components.
     """
-    label, members, sums, links = ctx.label, ctx.members, ctx.sums, ctx.links
+    residual, label, members, sums, links = ctx.res, ctx.label, ctx.members, ctx.sums, ctx.links
     res, total = residual[i], len(residual)
     left, lab, slot = [-1, -1, -1, -1], [None] * 4, {}
     for s, q, _ in links[i]:
@@ -265,12 +296,6 @@ def _feasible(residual: Sequence[int], ctx: _Context, i: int, caps: tuple[int, .
     return survivors
 
 
-def _guaranteed(res: Sequence[int], ctx: _Context, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """omega_star of node id i as counts, from _feasible's words."""
-    words = _feasible(res, ctx, i, caps)
-    return tuple(map(min, zip(*words))) if words else None
-
-
 def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     """The words for p's residual magnitude that survive all five feasibility
     conditions against the current state.
@@ -300,7 +325,7 @@ def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:
     An empty result is meaningful: the state admits no completion of p.
     """
     ctx, i = _context_at(state, p)
-    words = [] if ctx.dead else _feasible(state._res, ctx, i, state._capacity(i))
+    words = [] if ctx.dead else _feasible(ctx, i, state._capacity(i))
     return WordSet(tuple([ConfigWord(*w) for w in words]))
 
 
@@ -313,7 +338,7 @@ def omega_star(state: PuzzleState, p: Node) -> Optional[ConfigWord]:
     to complete p, so no solution extends this state.
     """
     ctx, i = _context_at(state, p)
-    w = None if ctx.dead else _guaranteed(state._res, ctx, i, state._capacity(i))
+    w = None if ctx.dead else ctx.word(i, state._capacity(i))
     return None if w is None else ConfigWord(*w)
 
 

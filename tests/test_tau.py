@@ -29,6 +29,7 @@ from gridlink import (
     screen,
 )
 import gridlink.tau as tau_module
+import gridlink.words as words_module
 from gridlink.tau import _Engine, _stalls_at_start
 from gridlink.words import _Context
 
@@ -218,13 +219,13 @@ class TestStallProbe:
         # node; this early exit is why the probe does not call next_move.
         g = generate(GenSpec(26640, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
         calls = [0]
-        guaranteed = tau_module._guaranteed
+        feasible = words_module._feasible
 
         def counted(*args):
             calls[0] += 1
-            return guaranteed(*args)
+            return feasible(*args)
 
-        monkeypatch.setattr(tau_module, "_guaranteed", counted)
+        monkeypatch.setattr(words_module, "_feasible", counted)
         assert not _stalls_at_start(g)
         assert calls[0] == 1
         calls[0] = 0
@@ -235,7 +236,7 @@ class TestStallProbe:
     def test_probe_decides_at_its_first_decisive_check(self, monkeypatch):
         # Local checks first, stopping at the first node where one fires; then
         # the R4 pass; the screens run only on a candidate both leave open.
-        calls = {"_revise": 0, "screen": 0, "_guaranteed": 0}
+        calls = {"_revise": 0, "screen": 0, "_feasible": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -248,16 +249,16 @@ class TestStallProbe:
 
         counted(_Engine, "_revise")
         counted(tau_module, "screen")
-        counted(tau_module, "_guaranteed")
+        counted(words_module, "_feasible")
         # R1 fires first at node id 9 of 12; R2 and R3 fire at node id 11.
         g = generate(GenSpec(26641, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
         assert not _stalls_at_start(g)
-        assert calls == {"_revise": 10, "screen": 0, "_guaranteed": 0}
+        assert calls == {"_revise": 10, "screen": 0, "_feasible": 0}
         # No check fires here; the first node's word is not zero.
         calls.update(dict.fromkeys(calls, 0))
         g = generate(GenSpec(26640, 4, 4, 0.75, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
         assert not _stalls_at_start(g)
-        assert calls == {"_revise": 12, "screen": 0, "_guaranteed": 1}
+        assert calls == {"_revise": 12, "screen": 0, "_feasible": 1}
 
     def test_probe_screens_a_grid_the_engine_stalls_on(self):
         # The 3x3 lattice, k=2, corners 2 and every other node 3: no check
@@ -520,7 +521,7 @@ def walk_toward_solutions(corpus, step, seed, least_steps, least_checks):
                 break
             engine._omega_move()  # fills in the missing omega_star words
             assert engine.ctx.dead == context(state).dead
-            for i, w in engine.guaranteed.items():
+            for i, w in engine.ctx.kept.items():
                 expected = omega_star(state, g.nodes[i])
                 assert w == (None if expected is None else expected.counts), (g.nodes, state.connections(), i)
                 memo_checks += 1
@@ -553,7 +554,7 @@ class TestIncrementalEngine:
                 # starved nodes to the over-capacity check.
                 assert engine.ctx is None or engine.ctx.dead == fresh.dead or engine.fires[0]
                 if not fresh.dead:
-                    for i, w in engine.guaranteed.items():
+                    for i, w in (engine.ctx.kept if engine.ctx else {}).items():
                         expected = omega_star(state, g.nodes[i])
                         assert w == (None if expected is None else expected.counts)
                         memo_checks += 1
@@ -580,7 +581,7 @@ class TestIncrementalEngine:
         # a random incomplete node, so it can lower a neighbor's residual
         # without completing anything: a word kept at a neighbor of that
         # neighbor may then complete it and starve another node. A drop set
-        # in _Engine.apply without all neighbors of the touched nodes leaves
+        # in _Context.step without all neighbors of the touched nodes leaves
         # six such stale words on the walk with seed 8 and four with seed 0;
         # some other seeds find none, so the test takes both walks rather
         # than rely on one draw.
@@ -607,10 +608,10 @@ class TestIncrementalEngine:
             state = engine.state
             assert not context(state).dead
             engine._omega_move()
-            for j, w in engine.guaranteed.items():
+            for j, w in engine.ctx.kept.items():
                 expected = omega_star(state, g.nodes[j])
                 assert w == (None if expected is None else expected.counts), (x, g.nodes[j])
-        assert engine.guaranteed[g._index[Coordinate(0, 0)]] is None
+        assert engine.ctx.kept[g._index[Coordinate(0, 0)]] is None
 
     def test_a_neighbor_completed_across_a_full_edge_is_revised(self):
         # k=2: (0, 0) draws 2 to (1, 0), which then completes toward (2, 0).
@@ -630,11 +631,11 @@ class TestIncrementalEngine:
     def test_a_neighbor_whose_slot_stays_capped_drops_omega_star(self):
         # k=2: (1, 10) hangs from a column of magnitude-3 nodes, so its
         # component's residual sum stays above twice the largest magnitude
-        # and ctx.join reports nothing. The last step draws one connection
-        # from (1, 10) to (0, 10). (2, 10)'s slot toward (1, 10) stays 2, so
-        # its capacity and rules need no revision; but its word with 2
-        # toward (1, 10) now completes that node and starves (0, 10), so
-        # the omega_star kept for (2, 10) must go.
+        # and ctx.step drops no word for that. The last step draws one
+        # connection from (1, 10) to (0, 10). (2, 10)'s slot toward (1, 10)
+        # stays 2, so its capacity and rules need no revision; but its word
+        # with 2 toward (1, 10) now completes that node and starves (0, 10),
+        # so the omega_star kept for (2, 10) must go.
         g = NumberedGrid(2, [node(0, 10, 2), node(1, 10, 4), node(2, 10, 2), node(2, 11, 2), node(2, 12, 1)]
                          + [node(1, y, 1 if y == 2 else 3) for y in range(2, 10)])
         engine = _Engine(PuzzleState.empty(g))
@@ -647,14 +648,14 @@ class TestIncrementalEngine:
         for y in range(2, 10):
             draw(Coordinate(1, y), Coordinate(1, y + 1))
         engine._omega_move()  # fills in the missing omega_star words
-        assert engine.guaranteed[c] == _toward(3, 1)
+        assert engine.ctx.kept[c] == _toward(3, 1)
         draw(Coordinate(1, 10), Coordinate(0, 10))
         engine._omega_move()
         state = engine.state
-        for j, w in engine.guaranteed.items():
+        for j, w in engine.ctx.kept.items():
             expected = omega_star(state, g.nodes[j])
             assert w == (None if expected is None else expected.counts), g.nodes[j]
-        assert engine.guaranteed[c] == (1, 0, 0, 1)
+        assert engine.ctx.kept[c] == (1, 0, 0, 1)
 
     def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
         # Every interior node of a k=1 chain of magnitude-2 nodes is

@@ -21,6 +21,7 @@ from gridlink import (
     count_configs,
     enumerate_feasible,
     enumerate_phi_k,
+    enumerate_solutions,
     generate,
     node,
     omega_star,
@@ -226,18 +227,24 @@ def engine_states():
             yield state
 
 
+def random_grids(rng, count, sizes, densities, ks, modes):
+    """Generated grids of random shape, skipping specs the generator cannot
+    place."""
+    for seed in range(count):
+        spec = GenSpec(
+            seed=seed, width=rng.randint(*sizes), height=rng.randint(*sizes),
+            node_density=rng.uniform(*densities), k=rng.randint(*ks), mode=rng.choice(modes),
+        )
+        try:
+            yield generate(spec)
+        except GenerationFailure:
+            continue
+
+
 def reachable_states(rng, count):
     """Generated grids, each followed from the empty state through a few
     random words that fit the remaining capacity, completing a node or not."""
-    for seed in range(count):
-        spec = GenSpec(
-            seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
-            node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
-        )
-        try:
-            g = generate(spec)
-        except GenerationFailure:
-            continue
+    for g in random_grids(rng, count, (2, 6), (0.4, 1.0), (1, 3), list(GenMode)):
         state = PuzzleState.empty(g)
         yield state
         for _ in range(rng.randint(1, 10)):
@@ -251,57 +258,127 @@ def reachable_states(rng, count):
                 yield state
 
 
+def random_moves(rng, steps):
+    """A move chooser for follow_with_context: at a random incomplete node,
+    mostly one connection toward a random slot with room, else a random
+    word that fits; at most steps moves."""
+    def choose(state):
+        nonlocal steps
+        g = state.grid
+        open_ids = [c for c, r in enumerate(state._res) if r]
+        while steps and open_ids:
+            steps -= 1
+            i = rng.choice(open_ids)
+            caps = state._capacity(i)
+            if rng.random() < 0.8:
+                slots = [s for s, c in enumerate(caps) if c]
+                if slots:
+                    return i, _toward(rng.choice(slots), 1)
+            else:
+                words = fitting_words(state, g.nodes[i], rng.randint(1, min(state._res[i], 4 * g.k)))
+                if words:
+                    return i, rng.choice(words).counts
+        return None
+    return choose
+
+
+def far_first_moves(rng, g, solution):
+    """A move chooser for follow_with_context that walks g to a solution,
+    given by edge id: mostly at the incomplete node farthest from a random
+    anchor, else at a random one, either all that the node lacks of the
+    solution or part of what one of its slots lacks. The nodes near the
+    anchor are left for last, so a step far from them often completes the
+    rest of their component."""
+    anchor = rng.choice(g.nodes).coord
+
+    def choose(state):
+        open_ids = [c for c, r in enumerate(state._res) if r]
+        if not open_ids:
+            return None
+        if rng.random() < 0.8:
+            i = max(open_ids, key=lambda c: abs(g.nodes[c].coord.x - anchor.x) + abs(g.nodes[c].coord.y - anchor.y))
+        else:
+            i = rng.choice(open_ids)
+        lacks = [(s, solution[e] - state._mult[e]) for s, _, e in g._links[i] if solution[e] > state._mult[e]]
+        if rng.random() < 0.3:
+            s, m = rng.choice(lacks)
+            return i, _toward(s, rng.randint(1, m))
+        counts = [0, 0, 0, 0]
+        for s, m in lacks:
+            counts[s] = m
+        return i, tuple(counts)
+    return choose
+
+
+def _toward(slot, m):
+    """Word counts with m toward slot and 0 elsewhere."""
+    counts = [0, 0, 0, 0]
+    counts[slot] = m
+    return tuple(counts)
+
+
+def follow_with_context(g, choose, tally):
+    """Walk g from the empty state by the moves choose gives, (node id, word
+    counts) or None to stop, with one context that each step is reported to,
+    as the engine does. Before each step the context keeps every incomplete
+    node's word while it is not dead; after it, the context must read like
+    one built afresh: the same components, residual sums and sealed verdict
+    (the starved one it leaves to the engine's over-capacity check), and
+    each word it still keeps equal to a fresh one. tally counts steps,
+    sealed states, dropped words and checked words."""
+    state = PuzzleState.empty(g)
+    res = list(state._res)  # the context reads this list; it is stepped in place
+    ctx = _Context(g, state._mult, res)
+    caps = [state._capacity(c) for c in range(len(res))]
+    while (move := choose(state)) is not None:
+        i, counts = move
+        if not ctx.dead:
+            for c, r in enumerate(res):
+                if r:
+                    ctx.word(c, caps[c])
+        state = apply_builder(state, g.nodes[i], ConfigWord(*counts))
+        res[:] = state._res
+        before, caps = caps, [state._capacity(c) for c in range(len(res))]
+        kept = len(ctx.kept)
+        touched = [i] + [q for s, q, _ in g._links[i] if counts[s]]
+        ctx.step(touched, 2 * sum(counts), [c for c, cap in enumerate(caps) if cap != before[c]])
+        fresh = _Context(g, state._mult, state._res)
+        pairs = {(ctx.label[c], fresh.label[c]) for c in range(len(res))}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        for c in range(len(res)):
+            assert ctx.sums[ctx.label[c]] == fresh.sums[fresh.label[c]]
+            assert len(ctx.members[ctx.label[c]]) == len(fresh.members[fresh.label[c]])
+            assert c in ctx.members[ctx.label[c]]
+        is_sealed = any(not v and len(fresh.members[x]) < len(res) for x, v in fresh.sums.items())
+        assert ctx.dead == is_sealed
+        for c, w in ctx.kept.items():
+            assert w == fresh.word(c, caps[c]), (g.nodes, state.connections(), c)
+        tally["steps"] += 1
+        tally["sealed"] += is_sealed
+        tally["dropped"] += kept - len(ctx.kept)
+        tally["checked"] += len(ctx.kept)
+
+
 class TestContext:
-    def test_join_reads_like_a_fresh_context(self):
-        # The engine carries one context across its steps through join.
-        # After any step it must hold the components of a context built
-        # afresh, for every node, and the sealed verdict; the starved one
-        # it leaves to the engine's over-capacity check.
+    def test_step_reads_like_a_fresh_context(self):
+        # Random walks, mostly of single connections that lower a
+        # neighbor's residual without completing it, and walks to a
+        # solution that leave the nodes near an anchor for last. Only the
+        # second kind shows a drop rule that skips the merged component's
+        # incomplete nodes, and the first shows most of the stale words that
+        # skipping the touched nodes' neighbors leaves; each leaves only a
+        # handful over the whole test.
         rng = Random(9)
-        steps = sealed = reported = 0
-        for seed in range(150):
-            spec = GenSpec(
-                seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
-                node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
-            )
-            try:
-                g = generate(spec)
-            except GenerationFailure:
-                continue
-            state = PuzzleState.empty(g)
-            ctx = _Context(g, state._mult, state._res)
-            if ctx.dead:  # a node without neighbors
-                continue
-            for _ in range(rng.randint(1, 12)):
-                open_nodes = [n for n in g.nodes if state.residual(n) > 0]
-                if not open_nodes:
-                    break
-                p = rng.choice(open_nodes)
-                words = fitting_words(state, p, rng.randint(1, min(state.residual(p), 4 * g.k)))
-                if not words:
-                    continue
-                w = rng.choice(words)
-                i = g._index[p.coord]
-                touched = [i] + [q for s, q, _ in g._links[i] if w.counts[s]]
-                state = apply_builder(state, p, w)
-                changed = ctx.join(state._res, touched, 2 * sum(w.counts))
-                fresh = _Context(g, state._mult, state._res)
-                open_ids = [c for c, r in enumerate(state._res) if r]
-                pairs = {(ctx.label[c], fresh.label[c]) for c in range(len(g.nodes))}
-                assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
-                for c in range(len(g.nodes)):
-                    assert ctx.sums[ctx.label[c]] == fresh.sums[fresh.label[c]]
-                    assert len(ctx.members[ctx.label[c]]) == len(fresh.members[fresh.label[c]])
-                    assert c in ctx.members[ctx.label[c]]
-                j = fresh.label[i]
-                merged = [c for c in open_ids if fresh.label[c] == j]
-                assert sorted(changed) == (merged if fresh.sums[j] <= ctx.bound else [])
-                is_sealed = any(not v and len(fresh.members[x]) < len(g.nodes) for x, v in fresh.sums.items())
-                assert ctx.dead == is_sealed
-                steps += 1
-                sealed += is_sealed
-                reported += bool(changed)
-        assert steps >= 500 and sealed >= 50 and reported >= 100
+        tally = dict.fromkeys(("steps", "sealed", "dropped", "checked"), 0)
+        for g in random_grids(rng, 200, (3, 7), (0.8, 1.0), (1, 3), list(GenMode)):
+            follow_with_context(g, random_moves(rng, rng.randint(10, 60)), tally)
+        for g in random_grids(rng, 120, (4, 6), (0.6, 1.0), (1, 4), [GenMode.SOLVABLE_BY_CONSTRUCTION]):
+            solution = enumerate_solutions(g, limit=1).solutions[0]
+            solution = [solution.get(e, 0) for e in g.all_edges]
+            for _ in range(5):
+                follow_with_context(g, far_first_moves(rng, g, solution), tally)
+        assert tally["steps"] >= 10000 and tally["sealed"] >= 500, tally
+        assert tally["dropped"] >= 50000 and tally["checked"] >= 50000, tally
 
 
 class TestEnumerateFeasible:
