@@ -343,7 +343,8 @@ class PuzzleState:
 
     Multiplicities are kept by edge id and residuals by node id, as tuples.
     The constructor checks the full invariant set on the map it is given;
-    add_connections builds the map with the addition and checks it so.
+    add_connections checks only what one addition can break, in the same
+    order and with the same errors.
     """
 
     __slots__ = ("grid", "_mult", "_res")
@@ -407,9 +408,26 @@ class PuzzleState:
         """
         if m < 1:
             raise ValueError(f"must add at least one connection, got {m}")
-        connections = self.connections()
-        connections[e] = connections.get(e, 0) + m
-        return PuzzleState(self.grid, connections)
+        grid, mult, res = self.grid, list(self._mult), list(self._res)
+        i = grid._edge_id(e)
+        if i is None:
+            raise InvalidConnectionError(f"{e} does not join neighboring nodes")
+        mult[i] += m
+        if mult[i] > grid.k:
+            raise CapacityExceeded(f"multiplicity {mult[i]} exceeds k={grid.k} on {e}")
+        for a in grid._ends[i]:  # in node id order, as the constructor reports
+            res[a] -= m
+            if res[a] < 0:
+                n, r = grid.nodes[a], res[a]
+                raise ResidualExceeded(
+                    f"node at {n.coord} has degree {n.magnitude - r} > magnitude {n.magnitude}"
+                )
+        # The state's edges cross none of each other; the lowest crossing one
+        # is the first the constructor's scan in edge order would report.
+        j = next((j for j in grid._crossings[i] if mult[j]), None)
+        if j is not None:
+            raise CrossingViolation(f"{grid.all_edges[j]} crosses {grid.all_edges[i]}")
+        return _state(grid, mult, res)
 
     def remaining_capacity(self, p: Node) -> dict[Direction, int]:
         """Connections still addable from p in each direction.

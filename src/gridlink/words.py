@@ -12,15 +12,16 @@ guaranteed-connection word. The filter reads the state once per call (its
 residuals and components, and the slots a word must fill or must not fill
 all of) and judges each word by two masks, the slots it fills and uses; it
 sums components only for a word that fills every slot it uses. A state's
-context (_Context) keeps the words it computed; told of each engine step,
-it drops those the step may change, by the one rule that mirrors the
-filter's reads.
+context (_Context) keeps the words it computed and the slot masks; told of
+each engine step, it drops a word only where the filter reads what the step
+changed: near the nodes the step completed, at the touched nodes, at their
+neighbors whose slot toward them can be filled, and where a word may newly
+seal the merged component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Node, NumberedGrid, PuzzleState, _Components
@@ -153,59 +154,72 @@ def count_configs(n: int, r: int, k: int) -> int:
 
 
 class _Context(_Components):
-    """What the word test reads of a state besides capacities, and the
-    omega_star words it has kept.
+    """What the word test reads of a state besides capacities, and what it
+    has kept.
 
     The components of the positive edges of mult, as in _Components, plus
-    res, the residuals it reads by node id (the engine's own list, stepped
-    in place), links, the grid's link table (each node id's existing links
-    as (slot, neighbor id, edge id)), sums, each component's residual sum,
-    and kept, each node id's omega_star counts as far as computed. dead is
-    the verdict that rules out every word at once: a completed component
-    does not span the grid, or an incomplete node has only completed
-    neighbors (it is starved). Once true it stays true, as residuals only
-    fall and a completed node takes no connection.
+    mult and res, the multiplicities by edge id and residuals by node id (the
+    engine's own lists, stepped in place), links, the grid's link table,
+    sums, each component's residual sum, and, as far as computed, each node
+    id's need and cuts masks and its omega_star counts (kept). dead is the
+    verdict that rules out every word at once: a completed component does
+    not span the grid, or an incomplete node has only completed neighbors
+    (it is starved). Once true it stays true, as residuals only fall and a
+    completed node takes no connection.
     """
 
-    __slots__ = ("res", "links", "sums", "dead", "bound", "kept")
+    __slots__ = ("mult", "res", "links", "k", "sums", "dead", "masks", "kept")
 
     def __init__(self, grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> None:
         super().__init__(grid, mult)
-        self.res, self.links = res, grid._links
+        self.mult, self.res, self.links, self.k = mult, res, grid._links, grid.k
         self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
         self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(
             r and all(not res[q] for _, q, _ in links) for r, links in zip(res, grid._links)
         )
-        # A word at node id i seals a component only if the residual sums it
-        # merges add up to twice i's residual, which is at most this.
-        self.bound = 2 * max(n.magnitude for n in grid.nodes)
+        self.masks: dict[int, tuple[int, list[int]]] = {}
         self.kept: dict[int, Optional[tuple[int, ...]]] = {}
 
     def word(self, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """omega_star of node id i as counts (None for no feasible word),
-        given i's capacity per direction; kept until a step may change it."""
+        given i's capacity per direction; kept until a step may change it.
+        The meet is folded over the survivors and stops once it is zero."""
         kept = self.kept
         if i not in kept:
-            words = _feasible(self, i, caps)
-            kept[i] = tuple(map(min, zip(*words))) if words else None
+            meet = None
+            for t, r, b, l in _feasible(self, i, caps):
+                if meet is not None:
+                    t, r, b, l = (t if t < t0 else t0, r if r < r0 else r0,
+                                  b if b < b0 else b0, l if l < l0 else l0)
+                meet = t0, r0, b0, l0 = t, r, b, l
+                if not (t or r or b or l):
+                    break
+            kept[i] = meet
         return kept[i]
 
     def step(self, touched: list[int], spent: int, revised: Iterable[int]) -> None:
         """Follow a step that lowered the residuals of touched by spent in
-        all (res holds the new ones) and may have changed the capacity of
-        revised: merge the components of touched, and drop each kept word
-        that _feasible could now read differently. That is at the revised
-        nodes; at the neighbors of touched ones, as a word reads its
-        neighbors' residuals; within three links of a node the step
-        completed, as it reads which nodes are complete that far; and, when
-        the merged component's residual sum is at most bound, at its
-        incomplete nodes and their neighbors. A word at i seals a component
-        only if its sum is at most bound and each of its incomplete nodes is
-        i or a neighbor the word uses, so only there can the step make a
-        word newly seal; and where a word sealed a part before the step, or
-        would seal with a touched node left incomplete, i neighbors one.
+        all (res and mult hold the new ones) and may have changed the
+        capacity of revised: merge the components of touched, and drop what
+        _feasible could now read differently. That is:
+
+        (a) masks and words within three links of a node the step completed,
+        along paths through incomplete nodes, as _feasible at i reads whether
+        a node is complete only at i, its neighbors, and the neighbors of its
+        incomplete neighbors and of theirs; the masks read nothing else;
+        (b) words at touched and revised nodes, and at each neighbor c of a
+        touched q with res[q] <= k - mult[e(c, q)]: elsewhere c's slot toward
+        q holds at most k - mult < res[q], so no word at c fills it, and c
+        reads q's residual only as non-zero;
+        (c) words at each c whose closed neighborhood holds every incomplete
+        member of the merged component K, with T <= 2 res(c) for T the
+        residual sum of K. A word seals only if it fills each neighbor it
+        uses and the sums it merges add up to 2 res(c), so only there can one
+        newly seal K. Outside (b) such a word uses no touched node, and each
+        part of K held a touched node, incomplete before the step, so no
+        word sealed a part of K then either.
         """
-        res, links, kept = self.res, self.links, self.kept
+        res, links, kept, masks, mult, k = self.res, self.links, self.kept, self.masks, self.mult, self.k
         total = sum(self.sums.pop(j) for j in {self.label[c] for c in touched}) - spent
         for c in touched:
             keep = self.union(touched[0], c)
@@ -215,22 +229,26 @@ class _Context(_Components):
         # engine's over-capacity check reports it before any word test runs.
         if not total and len(members) < len(self.label):
             self.dead = True
-        if not kept:
+        if not kept and not masks:
             return
-
-        def near(nodes):
-            return {q for c in nodes for _, q, _ in links[c]}
-
         ball = frontier = {c for c in touched if not res[c]}
-        for _ in range(3):
-            frontier = near(frontier) - ball
+        for _ in range(3 if ball else 0):
+            frontier = {q for c in frontier for _, q, _ in links[c]} - ball
             ball |= frontier
-        joined = [c for c in members if res[c]] if total <= self.bound else []
-        for c in ball.union(revised, near(touched), joined, near(joined)):
+            frontier = [c for c in frontier if res[c]]
+        for c in ball:
+            masks.pop(c, None)
+        drop = ball.union(touched, revised)
+        drop.update(c for q in touched for _, c, e in links[q] if res[q] <= k - mult[e])
+        incomplete = [c for c in members if res[c]]
+        for c in [incomplete[0]] + [q for _, q, _ in links[incomplete[0]]] if incomplete else ():
+            if 2 * res[c] >= total and {c}.union(q for _, q, _ in links[c]).issuperset(incomplete):
+                drop.add(c)
+        for c in drop:
             kept.pop(c, None)
 
 
-def _feasible(ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _feasible(ctx: _Context, i: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The feasible words of node id i, as counts in enumerate_phi_k order,
     given the context of the state (not dead) and i's capacity per
     direction.
@@ -242,13 +260,13 @@ def _feasible(ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, .
     share no row or column. So a word can starve only i's incomplete
     neighbors (through i) and the incomplete nodes two links away (through
     the neighbors it completes), and whether such a node's other neighbors
-    are completed does not depend on the word. That part is read once per
-    call into slot masks (bit s for slot s): need, the lonely slots, and
-    cuts, the slots of each node two links away whose incomplete neighbors
-    all neighbor i. A word is then judged by two masks: full, the slots s
-    where it sends left[s], the residual of the neighbor there (-1 if none),
-    and nz, the slots it uses. It starves a node unless full covers need and
-    holds no whole cut.
+    are completed does not depend on the word. That part is read once and
+    kept in the context as slot masks (bit s for slot s): need, the lonely
+    slots, and cuts, the slots of each node two links away whose incomplete
+    neighbors all neighbor i. A word is then judged by two masks: full, the
+    slots s where it sends left[s], the residual of the neighbor there (-1
+    if none), and nz, the slots it uses. It starves a node unless full
+    covers need and holds no whole cut.
 
     It seals a component only if full == nz: the component it forms holds i
     and each neighbor it uses, once, so its residual sum is at least res(i)
@@ -259,41 +277,52 @@ def _feasible(ctx: _Context, i: int, caps: tuple[int, ...]) -> list[tuple[int, .
     """
     residual, label, members, sums, links = ctx.res, ctx.label, ctx.members, ctx.sums, ctx.links
     res, total = residual[i], len(residual)
-    left, lab, slot = [-1, -1, -1, -1], [None] * 4, {}
+    left, lab = [-1, -1, -1, -1], [None] * 4
     for s, q, _ in links[i]:
         if residual[q]:
-            left[s], lab[s], slot[q] = residual[q], label[q], s
-    need, cuts = 0, []
-    for q, s in slot.items():
-        need |= 1 << s  # until q shows another incomplete neighbor p
-        for _, p, _ in links[q]:
-            if p != i and residual[p]:
-                need &= ~(1 << s)
-                cut = 0
-                for _, c, _ in links[p]:
-                    if residual[c]:
-                        if c not in slot:
-                            break
-                        cut |= 1 << slot[c]
-                else:
-                    cuts.append(cut)
+            left[s], lab[s] = residual[q], label[q]
+    if i not in ctx.masks:
+        need, cuts, slot = 0, [], {q: s for s, q, _ in links[i] if residual[q]}
+        for q, s in slot.items():
+            need |= 1 << s  # until q shows another incomplete neighbor p
+            for _, p, _ in links[q]:
+                if p != i and residual[p]:
+                    need &= ~(1 << s)
+                    cut = 0
+                    for _, c, _ in links[p]:
+                        if residual[c]:
+                            if c not in slot:
+                                break
+                            cut |= 1 << slot[c]
+                    else:
+                        cuts.append(cut)
+        ctx.masks[i] = need, cuts
+    need, cuts = ctx.masks[i]
 
     # Capacity toward a direction is at most k, so only words within caps
     # are generated; there are none when res > 4k. A word uses only the
     # incomplete neighbors, as caps is 0 toward the others.
     l0, l1, l2, l3 = left
-    survivors = []
+    own = label[i]
     for counts in _spread(res, caps):
         t, r, b, l = counts
         full = (t == l0) | (r == l1) << 1 | (b == l2) << 2 | (l == l3) << 3
-        if full & need != need or cuts and any(full & c == c for c in cuts):
+        if full & need != need:
             continue
-        if full == (t > 0) | (r > 0) << 1 | (b > 0) << 2 | (l > 0) << 3:
-            merged = {label[i]}.union(compress(lab, counts))
-            if sum(sums[j] for j in merged) == 2 * res and sum(len(members[j]) for j in merged) < total:
-                continue
-        survivors.append(counts)
-    return survivors
+        for cut in cuts:
+            if full & cut == cut:
+                break
+        else:
+            if full == (t > 0) | (r > 0) << 1 | (b > 0) << 2 | (l > 0) << 3:
+                merged, held, size = [own], sums[own], len(members[own])
+                for j, c in zip(lab, counts):
+                    if c and j not in merged:
+                        merged.append(j)
+                        held += sums[j]
+                        size += len(members[j])
+                if held == 2 * res and size < total:
+                    continue
+            yield counts
 
 
 def enumerate_feasible(state: PuzzleState, p: Node) -> WordSet:

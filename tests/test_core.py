@@ -233,6 +233,15 @@ class TestDegreeAndState:
             s.add_connections(edge(1, 0, 1, 2), 1)
         with pytest.raises(CrossingViolation):
             PuzzleState(g, {edge(0, 1, 2, 1): 1, edge(1, 0, 1, 2): 1})
+        # The column edge crosses both row edges; like the constructor,
+        # add_connections names the first of them in edge order.
+        g = NumberedGrid(1, [node(1, 0, 1), node(0, 1, 1), node(2, 1, 1), node(0, 2, 1), node(2, 2, 1), node(1, 3, 1)])
+        rows = {edge(0, 1, 2, 1): 1, edge(0, 2, 2, 2): 1}
+        with pytest.raises(CrossingViolation) as added:
+            PuzzleState(g, rows).add_connections(edge(1, 0, 1, 3), 1)
+        with pytest.raises(CrossingViolation) as built:
+            PuzzleState(g, {**rows, edge(1, 0, 1, 3): 1})
+        assert str(added.value) == str(built.value) == "(0, 1)-(2, 1) crosses (1, 0)-(1, 3)"
 
     def test_non_neighbor_edge_rejected(self):
         g = self.grid()
@@ -303,6 +312,35 @@ class TestStateBookkeeping:
                 assert s.remaining_capacity(n) == expected
             checked += 1
         assert checked > 400
+
+    def test_an_addition_fails_or_succeeds_as_the_constructor_does(self):
+        # add_connections checks only what one addition can break; building
+        # the whole map with the addition must give the same state or raise
+        # the same error with the same message.
+        rng = random.Random(5)
+        outcomes = {}
+        for s in random_states(rng, 100):
+            g = s.grid
+            first = g.nodes[0].coord
+            for e in g.all_edges + (EdgeKey.between(first, Coordinate(first.x + 50, first.y)),):
+                m = rng.randint(1, g.k + 1)
+                connections = s.connections()
+                connections[e] = connections.get(e, 0) + m
+                try:
+                    expected = PuzzleState(g, connections)
+                except GridError as error:
+                    expected = error
+                try:
+                    got = s.add_connections(e, m)
+                except GridError as error:
+                    got = error
+                if isinstance(expected, GridError):
+                    assert (type(got), str(got)) == (type(expected), str(expected))
+                else:
+                    assert (got, got._res) == (expected, expected._res)
+                outcomes[type(expected)] = outcomes.get(type(expected), 0) + 1
+        kinds = (PuzzleState, InvalidConnectionError, CapacityExceeded, ResidualExceeded, CrossingViolation)
+        assert set(outcomes) == set(kinds) and min(outcomes.values()) >= 20, outcomes
 
 
 

@@ -581,10 +581,10 @@ class TestIncrementalEngine:
         # a random incomplete node, so it can lower a neighbor's residual
         # without completing anything: a word kept at a neighbor of that
         # neighbor may then complete it and starve another node. A drop set
-        # in _Context.step without all neighbors of the touched nodes leaves
-        # six such stale words on the walk with seed 8 and four with seed 0;
-        # some other seeds find none, so the test takes both walks rather
-        # than rely on one draw.
+        # in _Context.step without the neighbors that can newly fill their
+        # slot toward a touched node (its residual falls to k - mult on
+        # their edge) leaves 27 to 45 such stale words on each walk with
+        # seeds 0-9; the test takes two of them.
         for seed in (8, 0):
             walk_toward_solutions(PARTIAL_WALK_CORPUS, partial_slot, seed, least_steps=3000, least_checks=25000)
 
@@ -630,12 +630,14 @@ class TestIncrementalEngine:
 
     def test_a_neighbor_whose_slot_stays_capped_drops_omega_star(self):
         # k=2: (1, 10) hangs from a column of magnitude-3 nodes, so its
-        # component's residual sum stays above twice the largest magnitude
-        # and ctx.step drops no word for that. The last step draws one
-        # connection from (1, 10) to (0, 10). (2, 10)'s slot toward (1, 10)
-        # stays 2, so its capacity and rules need no revision; but its word
-        # with 2 toward (1, 10) now completes that node and starves (0, 10),
-        # so the omega_star kept for (2, 10) must go.
+        # component's incomplete nodes lie along the column, in no node's
+        # closed neighborhood, and ctx.step drops no word for a seal. The
+        # last step draws one connection from (1, 10) to (0, 10).
+        # (2, 10)'s slot toward (1, 10) stays 2, so its capacity and rules
+        # need no revision; but (1, 10)'s residual falls to 2, so a word at
+        # (2, 10) can now fill that slot: its word with 2 toward (1, 10)
+        # completes that node and starves (0, 10), so the omega_star kept
+        # for (2, 10) must go.
         g = NumberedGrid(2, [node(0, 10, 2), node(1, 10, 4), node(2, 10, 2), node(2, 11, 2), node(2, 12, 1)]
                          + [node(1, y, 1 if y == 2 else 3) for y in range(2, 10)])
         engine = _Engine(PuzzleState.empty(g))
@@ -682,3 +684,20 @@ class TestIncrementalEngine:
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
         assert calls["_revise"] <= 3 * n
         assert calls["_entry"] == n - 1
+
+    def test_r4_runs_retest_only_the_words_a_step_can_change(self, monkeypatch):
+        # Five constructive k=2-3 grids that take 1-11 R4 steps each. A step
+        # drops a kept word only where the word test reads what the step
+        # changed: 313 word tests in all, where dropping every word near a
+        # touched node and around the merged component made 369.
+        calls = [0]
+        feasible = words_module._feasible
+
+        def counted(*args):
+            calls[0] += 1
+            return feasible(*args)
+
+        monkeypatch.setattr(words_module, "_feasible", counted)
+        for seed, side, density, k in ((3, 6, 0.5, 3), (5, 7, 0.4, 2), (4, 7, 0.4, 3), (8, 8, 0.3, 2), (13, 8, 0.3, 3)):
+            run_tau(generate(GenSpec(seed, side, side, density, k, GenMode.SOLVABLE_BY_CONSTRUCTION)))
+        assert calls[0] == 313

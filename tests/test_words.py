@@ -324,11 +324,11 @@ def follow_with_context(g, choose, tally):
     node's word while it is not dead; after it, the context must read like
     one built afresh: the same components, residual sums and sealed verdict
     (the starved one it leaves to the engine's over-capacity check), and
-    each word it still keeps equal to a fresh one. tally counts steps,
+    each word and mask it still keeps equal to a fresh one. tally counts steps,
     sealed states, dropped words and checked words."""
     state = PuzzleState.empty(g)
-    res = list(state._res)  # the context reads this list; it is stepped in place
-    ctx = _Context(g, state._mult, res)
+    mult, res = list(state._mult), list(state._res)  # the context reads these; they are stepped in place
+    ctx = _Context(g, mult, res)
     caps = [state._capacity(c) for c in range(len(res))]
     while (move := choose(state)) is not None:
         i, counts = move
@@ -337,7 +337,7 @@ def follow_with_context(g, choose, tally):
                 if r:
                     ctx.word(c, caps[c])
         state = apply_builder(state, g.nodes[i], ConfigWord(*counts))
-        res[:] = state._res
+        mult[:], res[:] = state._mult, state._res
         before, caps = caps, [state._capacity(c) for c in range(len(res))]
         kept = len(ctx.kept)
         touched = [i] + [q for s, q, _ in g._links[i] if counts[s]]
@@ -353,6 +353,9 @@ def follow_with_context(g, choose, tally):
         assert ctx.dead == is_sealed
         for c, w in ctx.kept.items():
             assert w == fresh.word(c, caps[c]), (g.nodes, state.connections(), c)
+        for c, m in ctx.masks.items():
+            fresh.word(c, caps[c])
+            assert m == fresh.masks[c], (g.nodes, state.connections(), c)
         tally["steps"] += 1
         tally["sealed"] += is_sealed
         tally["dropped"] += kept - len(ctx.kept)
