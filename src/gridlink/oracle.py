@@ -1,11 +1,11 @@
 """Exhaustive ground-truth machinery.
 
 The enumerator assigns a multiplicity 0..k to every neighbor-pair edge by
-depth-first search with residual and crossing pruning, keeping the components
-of the positive edges in a union-find that it rolls back as it backtracks. It
-is a desk-scale device: the propagation engine is the scalable solver, and the
-enumerator, which shares no bookkeeping with it, is what we trust when the two
-must agree.
+depth-first search with residual and crossing pruning, in one loop that keeps
+the components of the positive edges in a union-find written out inline and
+rolled back as it backtracks. It is a desk-scale device: the propagation
+engine is the scalable solver, and the enumerator, which shares no code with
+it or with core._Components, is what we trust when the two must agree.
 
 Also here: the minimal-k sweep, seeded random instance generation (including
 a mode that is solvable by construction), and the search for grids with a
@@ -72,7 +72,6 @@ class SolutionSet:
         return len(self.solutions)
 
 
-# Keeps its own search and components: it is the independent reference for the engine.
 def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
     """Enumerate every connection assignment that solves the grid.
 
@@ -84,69 +83,43 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     edges = grid.all_edges
-    ends, links, conflicts = grid._ends, grid._links, grid._crossings
-    k = grid.k
-    n_nodes = len(grid.nodes)
+    ends, k = grid._ends, grid.k
+    n_nodes, n_edges = len(grid.nodes), len(edges)
     magnitude = [n.magnitude for n in grid.nodes]
     degree = [0] * n_nodes
     # Per node: k * (number of incident edges not yet assigned); an upper
     # bound on connections the node can still receive.
-    headroom = [k * len(node_links) for node_links in links]
-    values = [0] * len(edges)
+    headroom = [k * len(node_links) for node_links in grid._links]
+    # Per edge: the edges crossing it with lower ids, the only ones assigned when it is tried.
+    earlier = [tuple([j for j in cs if j < i]) for i, cs in enumerate(grid._crossings)]
+    values = [0] * n_edges
     found: list[dict] = []
 
-    # The positive-edge components as a union-find with rollback (Westbrook and
-    # Tarjan 1989): union by size without path compression, so find is O(log n)
-    # and, as values are withdrawn in reverse order, an undo resets one parent.
-    # A root holds its component's size and residual (sum of magnitude - degree);
-    # merged[i] is the root that edge i's value merged away, or None.
+    # The positive-edge components: a union-find with rollback (Westbrook and
+    # Tarjan 1989), inlined in the loop, by size without path compression, so a
+    # root walk is O(log n) and, as values are withdrawn in reverse order, an
+    # undo resets one parent. A root holds its component's size and residual
+    # (sum of magnitude - degree); merged[i] is the root edge i's value merged away, or None.
     parent = list(range(n_nodes))
     size = [1] * n_nodes
     residual = magnitude[:]
-    merged: list[Optional[int]] = [None] * len(edges)
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    def assign(i: int, a: int, b: int, v: int) -> int:
-        """Put v > 0 on edge i between a and b; returns their joint root."""
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            residual[ra] += residual[rb]
-            merged[i] = rb
-        residual[ra] -= 2 * v
-        return ra
-
-    def withdraw(i: int, a: int, v: int) -> None:
-        """Undo assign(i, a, b, v)."""
-        residual[find(a)] += 2 * v
-        rb = merged[i]
-        if rb is not None:
-            ra = parent[rb]
-            size[ra] -= size[rb]
-            residual[ra] -= residual[rb]
-            parent[rb] = rb
-            merged[i] = None
+    merged: list[Optional[int]] = [None] * n_edges
 
     # Depth-first search with an explicit cursor: i is the edge being
     # assigned, and cursor[i] the next multiplicity to try on it; edges past
     # i hold 0. A recursion would need one frame per edge, which long grids
     # exceed. The loop ends with i < 0 unless the limit stopped it.
-    cursor = [0] * len(edges)
+    cursor = [0] * n_edges
     i = 0
     while i >= 0:
-        if i == len(edges):
+        if i == n_edges:
             # Every node is completed here, and the seal test has cut every
             # component that does not span: this re-check is a backstop.
-            root = find(0)
+            root = 0
+            while parent[root] != root:
+                root = parent[root]
             if residual[root] == 0 and size[root] == n_nodes:
-                found.append({edges[j]: values[j] for j in range(len(edges)) if values[j] > 0})
+                found.append({edges[j]: values[j] for j in range(n_edges) if values[j] > 0})
                 if limit is not None and len(found) >= limit:
                     break
             i -= 1
@@ -155,32 +128,58 @@ def enumerate_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> Solu
         if cursor[i] == 0:
             headroom[a] -= k
             headroom[b] -= k
-        else:  # back from the subtree below: withdraw the value it assumed
-            degree[a] -= values[i]
-            degree[b] -= values[i]
-            if values[i]:
-                withdraw(i, a, values[i])
-        # A value above either endpoint's remaining magnitude overshoots it,
-        # so the loop stops there rather than at k.
-        blocked = any(values[j] > 0 for j in conflicts[i] if j < i)
-        top = 0 if blocked else min(k, magnitude[a] - degree[a], magnitude[b] - degree[b])
+        elif values[i]:  # back from the subtree below: withdraw the value it assumed
+            v = values[i]
+            degree[a] -= v
+            degree[b] -= v
+            rb = merged[i]
+            if rb is None:  # a and b were joined before it
+                ra = a
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                residual[ra] += 2 * v
+            else:
+                ra = parent[rb]
+                size[ra] -= size[rb]
+                residual[ra] += 2 * v - residual[rb]
+                parent[rb] = rb
+                merged[i] = None
+        # Values stop where an endpoint would overshoot, not at k; a positive crossing edge allows none.
+        left_a, left_b = magnitude[a] - degree[a], magnitude[b] - degree[b]
+        top = left_a if left_a < left_b else left_b
+        top = top if top < k else k
+        for j in earlier[i]:
+            if values[j]:
+                top = 0
+                break
         for v in range(cursor[i], top + 1):
+            if left_a - v > headroom[a] or left_b - v > headroom[b]:
+                continue
+            if v:
+                ra, rb = a, b
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                while parent[rb] != rb:
+                    rb = parent[rb]
+                if ra == rb:
+                    r, s = residual[ra] - 2 * v, size[ra]
+                else:
+                    r, s = residual[ra] + residual[rb] - 2 * v, size[ra] + size[rb]
+                if r <= 0 and s < n_nodes:  # a completed component that does not span is sealed off
+                    continue
+                if ra != rb:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+                    size[ra] = s
+                    merged[i] = rb
+                residual[ra] = r
             values[i] = v
             degree[a] += v
             degree[b] += v
-            ok = magnitude[a] - degree[a] <= headroom[a] and magnitude[b] - degree[b] <= headroom[b]
-            if ok and v > 0:
-                # A completed component that does not span the grid is sealed off.
-                root = assign(i, a, b, v)
-                ok = residual[root] > 0 or size[root] == n_nodes
-                if not ok:
-                    withdraw(i, a, v)
-            if ok:
-                cursor[i] = v + 1
-                i += 1
-                break
-            degree[a] -= v
-            degree[b] -= v
+            cursor[i] = v + 1
+            i += 1
+            break
         else:
             values[i] = 0
             cursor[i] = 0
@@ -198,9 +197,10 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
     """
     if not 1 <= k_max <= MAX_SWEEP_K:
         raise ValueError(f"k_max must be in 1..{MAX_SWEEP_K}, got {k_max}")
+    grid._crossings  # compiles the topology once: every candidate shares its tables
+    magnitudes = [n.magnitude for n in grid.nodes]
     for k in range(1, k_max + 1):
-        candidate = NumberedGrid(k, grid.nodes)
-        if enumerate_solutions(candidate, limit=1).solutions:
+        if enumerate_solutions(_relabeled(grid, k, magnitudes), limit=1).solutions:
             return k
     return None
 

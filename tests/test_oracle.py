@@ -10,6 +10,7 @@ from typing import Optional
 
 import pytest
 
+from gridlink import oracle
 from gridlink import (
     GenMode,
     GenSpec,
@@ -24,40 +25,70 @@ from gridlink import (
     node,
     run_tau,
     screen,
+    segments_cross,
     serialize_puzzle,
     SolutionSet,
     TauStatus,
 )
 
 
-def brute_force_square_solutions():
-    """Independent check for the all-2s square: try all 3^4 assignments of
-    the four unit edges and keep the ones where every node reaches degree 2
-    and the positive edges connect everything."""
-    coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    edges = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 0), (1, 1))]
-    keepers = []
-    for values in itertools.product(range(3), repeat=4):
-        deg = {c: 0 for c in coords}
-        for (a, b), v in zip(edges, values):
-            deg[a] += v
-            deg[b] += v
-        if any(deg[c] != 2 for c in coords):
+def spans(n_nodes: int, pairs) -> bool:
+    """True when the node pairs join all n_nodes nodes: node 0's reach,
+    grown pair by pair to a fixpoint, covers every node."""
+    reached, grown = set(), {0}
+    while grown != reached:
+        reached = grown
+        grown = reached.union(*[p for p in pairs if not reached.isdisjoint(p)])
+    return len(reached) == n_nodes
+
+
+def brute_force_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
+    """Independent check with no DFS and no union-find: try every assignment
+    of 0..k to the edges in canonical order, as itertools.product lists them
+    (first edge most significant, which is the enumerator's own order), and
+    keep those where every node's degree is its magnitude, no crossing pair
+    is doubly positive and the positive edges join every node."""
+    edges = grid.all_edges
+    index = {n.coord: i for i, n in enumerate(grid.nodes)}
+    ends = [(index[e.a], index[e.b]) for e in edges]
+    crossing = [(x, y) for (x, e), (y, f) in itertools.combinations(enumerate(edges), 2) if segments_cross(e, f)]
+    magnitudes = [n.magnitude for n in grid.nodes]
+    found = []
+    for values in itertools.product(range(grid.k + 1), repeat=len(edges)):
+        degree = [0] * len(magnitudes)
+        for (a, b), v in zip(ends, values):
+            degree[a] += v
+            degree[b] += v
+        if degree != magnitudes or any(values[x] and values[y] for x, y in crossing):
             continue
-        adj = {c: [] for c in coords}
-        for (a, b), v in zip(edges, values):
-            if v:
-                adj[a].append(b)
-                adj[b].append(a)
-        seen, stack = {coords[0]}, [coords[0]]
-        while stack:
-            for other in adj[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        if len(seen) == 4:
-            keepers.append(values)
-    return keepers
+        if spans(len(magnitudes), [ab for ab, v in zip(ends, values) if v]):
+            found.append({e: v for e, v in zip(edges, values) if v})
+            if limit is not None and len(found) == limit:
+                return SolutionSet(tuple(found), exhausted=False)
+    return SolutionSet(tuple(found), exhausted=True)
+
+
+def planted(grid: NumberedGrid, rng: Random) -> Optional[NumberedGrid]:
+    """grid's nodes relabeled with their degrees under a random assignment
+    that leaves no crossing pair doubly positive and joins every node, so
+    that it has at least one solution; None when 20 draws do not join."""
+    edges = grid.all_edges
+    index = {n.coord: i for i, n in enumerate(grid.nodes)}
+    ends = [(index[e.a], index[e.b]) for e in edges]
+    for _ in range(20):
+        values = [0] * len(edges)
+        for x in rng.sample(range(len(edges)), len(edges)):
+            if not any(v and segments_cross(edges[x], f) for f, v in zip(edges, values)):
+                values[x] = rng.randint(0, grid.k)
+        if spans(len(grid.nodes), [ab for ab, v in zip(ends, values) if v]):
+            degree = [sum(v for ab, v in zip(ends, values) if i in ab) for i in range(len(grid.nodes))]
+            return NumberedGrid(grid.k, [node(n.coord.x, n.coord.y, d) for n, d in zip(grid.nodes, degree)])
+    return None
+
+
+def listed(sols: SolutionSet):
+    """A solution set with each solution's connections in their own order."""
+    return sols.exhausted, [list(s.items()) for s in sols.solutions]
 
 
 def reference_enumerate(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
@@ -163,6 +194,18 @@ REFERENCE_CORPUS = [
 ]
 
 
+# Constructive 8x8 grids on which run_tau stalls, as `solve --method auto`
+# then enumerates them: (seed, node density, k).
+STALLED_8X8 = [(0, 0.5, 1), (2, 0.4, 1), (1, 0.5, 2), (3, 0.4, 2), (4, 0.5, 2), (0, 0.5, 3), (1, 0.4, 3), (9, 0.5, 3)]
+
+
+# Generated grids of at most 8 edges whose assignments the brute force can
+# list, (k + 1) ** edges at most 6561, as (width, height, density, k, seeds);
+# each grid also runs relabeled by a planted assignment, which gives
+# solutions, several per grid on cycles.
+BRUTE_FORCE_CORPUS = [(3, 2, 1.0, 2, 12), (3, 3, 0.8, 1, 12), (3, 3, 0.7, 2, 20), (4, 4, 0.5, 2, 20), (4, 4, 0.45, 3, 12)]
+
+
 # sha256 of every corpus grid's solutions in search order, with and without
 # a limit, recorded before the enumerator's recursion became an explicit
 # cursor: the order and the pruning must not change.
@@ -182,9 +225,9 @@ class TestEnumerateSolutions:
         assert all(m == 1 for m in sols.solutions[0].values())
 
     def test_square_matches_independent_brute_force(self):
-        assert len(brute_force_square_solutions()) == 1
         g = NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2), node(0, 1, 2), node(1, 1, 2)])
         sols = enumerate_solutions(g)
+        assert listed(sols) == listed(brute_force_solutions(g))
         assert len(sols) == 1 and sols.exhausted
         assert all(m == 1 for m in sols.solutions[0].values())
 
@@ -267,6 +310,33 @@ class TestEnumerateSolutions:
                     assert enumerate_solutions(g, limit) == reference_enumerate(g, limit), (g.nodes, limit)
         assert crossed
 
+    def test_matches_the_walker_reference_where_the_engine_stalls(self):
+        for seed, density, k in STALLED_8X8:
+            g = generate(GenSpec(seed, 8, 8, density, k, GenMode.SOLVABLE_BY_CONSTRUCTION))
+            assert run_tau(g).status is TauStatus.STALLED
+            for limit in (None, 1, 2):
+                assert listed(enumerate_solutions(g, limit)) == listed(reference_enumerate(g, limit)), (seed, k, limit)
+
+    def test_matches_the_lexicographic_brute_force(self):
+        seen = {"crossed": 0, "crossed and solved": 0, "several": 0}
+        for width, height, density, k, seeds in BRUTE_FORCE_CORPUS:
+            for seed in range(seeds):
+                try:
+                    g = generate(GenSpec(seed, width, height, density, k))
+                except GenerationFailure:
+                    continue
+                if len(g.all_edges) > 8 or (k + 1) ** len(g.all_edges) > 6561:
+                    continue
+                for grid in filter(None, (g, planted(g, Random(seed)))):
+                    crossed = any(grid.crossing_conflicts.values())
+                    for limit in (None, 1, 2):
+                        want = brute_force_solutions(grid, limit)
+                        assert listed(enumerate_solutions(grid, limit)) == listed(want), (grid.nodes, limit)
+                    seen["crossed"] += crossed
+                    seen["crossed and solved"] += crossed and len(want) > 0
+                    seen["several"] += len(want) > 1
+        assert all(seen.values()), seen
+
     def test_long_chain_costs_linear_time(self, tmp_path):
         # A walk over the whole component after every value made this
         # quadratic: about 100 s for 20000 nodes.
@@ -321,6 +391,17 @@ class TestMinSolvableK:
     def test_odd_total_never_solvable(self):
         g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 2)])
         assert min_solvable_k(g, 4) is None
+
+    def test_candidates_share_the_compiled_topology(self, monkeypatch):
+        g = NumberedGrid(1, [node(0, 0, 2), node(1, 0, 3), node(0, 1, 1), node(1, 1, 2)])
+        tried = []
+        real = oracle.enumerate_solutions
+        monkeypatch.setattr(oracle, "enumerate_solutions", lambda grid, limit: tried.append(grid) or real(grid, limit))
+        assert min_solvable_k(g, 4) == 2
+        assert [c.k for c in tried] == [1, 2]
+        for candidate in tried:
+            assert candidate.nodes == g.nodes
+            assert candidate._compiled is g._compiled and candidate._crossings is g._crossings
 
     def test_k_max_bound_enforced(self):
         g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1)])
