@@ -9,8 +9,9 @@ Each grid compiles its topology once, over integer ids: a node id is the
 node's position in nodes and an edge id its position in all_edges. The
 tables are each node's links, as (slot, neighbor id, edge id) for the
 neighbors that exist, the endpoints of each edge, and the ids of the edges
-crossing each edge. One pass over plain (x, y) ints builds the first two,
-and a sweep over the same ints the third.
+crossing each edge. One sweep over plain (x, y) ints builds all three. It
+indexes rows by rank, so a vertical edge costs the rows between its ends,
+whatever the coordinate gap.
 PuzzleState keeps multiplicities by edge id and residuals by node id, and
 words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
@@ -25,11 +26,11 @@ in place; the engine builds a PuzzleState only where it returns one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 
@@ -130,6 +131,9 @@ class EdgeKey:
             raise ValueError(f"edge endpoints must differ, got {c1} twice")
         return cls(c1, c2) if c1 < c2 else cls(c2, c1)
 
+    def __hash__(self) -> int:  # over the four ints in one frame, not one frame per Coordinate
+        return hash((self.a.x, self.a.y, self.b.x, self.b.y))
+
     @property
     def horizontal(self) -> bool:
         return self.a.y == self.b.y
@@ -201,34 +205,54 @@ class NumberedGrid:
         return {n.coord: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def _compiled(self) -> tuple[tuple, tuple[tuple[int, int], ...]]:
-        """(_links, _ends), built in one pass over plain (x, y) ints.
+    def _compiled(self) -> tuple[tuple, tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+        """(_links, _ends, _crossings), built in one sweep over plain (x, y) ints.
 
         Nodes are visited in (x, y) order. Each links to the next node on its
         column (slots TOP=0, BOTTOM=2) and row (RIGHT=1, LEFT=3), and hands out
         ids to the edges it is the lower end of, TOP before RIGHT: the canonical
         edge order. A node's links arrive LEFT, BOTTOM, TOP, RIGHT, so each row
         keeps slot order by inserting BOTTOM and TOP at the front and RIGHT
-        after TOP. Tables are built from lists, as tuple() over a generator
-        resizes, which fills CPython's free lists.
+        after TOP. Per row rank, the row's place among the distinct y values,
+        the sweep keeps the edge leaving the row's last swept node rightward,
+        or None. No node sits on a vertical edge's column strictly between its
+        ends, so it crosses exactly the open edges of the ranks between: its
+        work is the rows in between, whatever the coordinate gap. Tables are
+        built from lists, as tuple() over a generator resizes, which fills
+        CPython's free lists.
         """
         n = len(self.nodes)
-        xy = [(p.coord.x, p.coord.y) for p in self.nodes] + [(-1, -1)]  # sentinel id n: on no row or column
-        by_column = sorted(range(n), key=xy.__getitem__)
+        xs = [p.coord.x for p in self.nodes] + [-1]  # sentinel id n: on no row or column
+        ys = [p.coord.y for p in self.nodes] + [-1]
+        rank = list(accumulate(map(ne, ys[1:n], ys), initial=0))  # row-major order ranks rows in one pass
+        by_column = sorted(range(n), key=xs.__getitem__)  # stable: row-major order within a column
         links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         ends: list[tuple[int, int]] = []
+        crossings: list = []  # per edge id; a horizontal edge's list fills in vertical id order
+        open_right: list[Optional[int]] = [None] * (rank[-1] + 1)
         for a, up in zip(by_column, by_column[1:] + [n]):
-            x, y = xy[a]
-            top = xy[up][0] == x
+            r = rank[a]
+            top = xs[up] == xs[a]
             if top:
-                links[a].insert(0, (0, up, len(ends)))
-                links[up].insert(0, (2, a, len(ends)))
+                v = len(ends)
+                links[a].insert(0, (0, up, v))
+                links[up].insert(0, (2, a, v))
                 ends.append((a, up))
-            if xy[a + 1][1] == y:
-                links[a].insert(top, (1, a + 1, len(ends)))
-                links[a + 1].append((3, a, len(ends)))
+                crossed = ()
+                if rank[up] > r + 1:
+                    crossed = [h for h in open_right[r + 1:rank[up]] if h is not None]
+                    for h in crossed:
+                        crossings[h].append(v)
+                    crossed.sort()
+                crossings.append(crossed)
+            open_right[r] = None
+            if ys[a + 1] == ys[a]:
+                open_right[r] = right = len(ends)
+                links[a].insert(top, (1, a + 1, right))
+                links[a + 1].append((3, a, right))
                 ends.append((a, a + 1))
-        return tuple([tuple(row) for row in links]), tuple(ends)
+                crossings.append([])
+        return tuple([tuple(row) for row in links]), tuple(ends), tuple([tuple(cs) for cs in crossings])
 
     @cached_property
     def _links(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -240,6 +264,11 @@ class NumberedGrid:
     def _ends(self) -> tuple[tuple[int, int], ...]:
         """Per edge id, its two node ids in canonical order."""
         return self._compiled[1]
+
+    @cached_property
+    def _crossings(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge id, the sorted ids of the edges that geometrically cross it."""
+        return self._compiled[2]
 
     def node_at(self, coord: Coordinate) -> Optional[Node]:
         i = self._index.get(coord)
@@ -269,37 +298,6 @@ class NumberedGrid:
         """Every neighbor-pair edge of the grid, in canonical order."""
         coords = [n.coord for n in self.nodes]
         return tuple([_edge_key(coords[a], coords[b]) for a, b in self._ends])
-
-    @cached_property
-    def _crossings(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge id, the sorted ids of the edges that geometrically cross it.
-
-        A sorted sweep over plain int coordinates finds the pairs. One pass
-        over the edges groups the horizontal ones by row and lists the
-        vertical ones. A row's horizontal edges are disjoint and come in x
-        order, so each vertical edge meets at most one edge per row strictly
-        between its endpoints, found by bisection.
-        """
-        xs = [n.coord.x for n in self.nodes]
-        ys = [n.coord.y for n in self.nodes]
-        crossing: list[list[int]] = [[] for _ in self._ends]
-        rows: dict[int, list[tuple[int, int, int]]] = {}  # y -> (left x, right x, edge id)
-        verticals = []  # (edge id, x, lower y, upper y)
-        for e, (a, b) in enumerate(self._ends):
-            if ys[a] == ys[b]:
-                rows.setdefault(ys[a], []).append((xs[a], xs[b], e))
-            else:
-                verticals.append((e, xs[a], ys[a], ys[b]))
-        row_ys = sorted(rows)
-        for v, x, low, high in verticals:
-            for y in row_ys[bisect_right(row_ys, low):bisect_left(row_ys, high)]:
-                row = rows[y]
-                i = bisect_left(row, (x,)) - 1
-                if i >= 0 and x < row[i][1]:
-                    crossing[row[i][2]].append(v)
-                    crossing[v].append(row[i][2])
-            crossing[v].sort()  # horizontal edges' lists fill in vertical id order
-        return tuple([tuple(cs) for cs in crossing])
 
     @cached_property
     def crossing_conflicts(self) -> dict[EdgeKey, tuple[EdgeKey, ...]]:
@@ -333,7 +331,7 @@ def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> Numbere
     coordinates alone, so the result shares the tables grid has already
     compiled."""
     out = _grid(k, tuple([_node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)]))
-    tables = ("_index", "_compiled", "_links", "_ends", "_crossings")
+    tables = ("_index", "_compiled", "_links", "_ends", "_crossings")  # _compiled and its three views
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out
 

@@ -197,7 +197,7 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
     """
     if not 1 <= k_max <= MAX_SWEEP_K:
         raise ValueError(f"k_max must be in 1..{MAX_SWEEP_K}, got {k_max}")
-    grid._crossings  # compiles the topology once: every candidate shares its tables
+    grid._compiled  # compiles links, ends and crossings once: every candidate shares them
     magnitudes = [n.magnitude for n in grid.nodes]
     for k in range(1, k_max + 1):
         if enumerate_solutions(_relabeled(grid, k, magnitudes), limit=1).solutions:

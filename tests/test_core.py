@@ -90,6 +90,20 @@ class TestNeighbor:
             assert list(nbrs) == [d for d in Direction if candidates[d]]
 
 
+# Coordinate sets for the compiled-table tests: dense draws from 0..9, and
+# sparse ones whose rows and columns sit up to 10^9 apart, so a vertical
+# edge can span rows far apart with rows between that have no node on its
+# column. One row or one column comes up whenever a side draws one value.
+dense_coords = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40)
+
+
+@st.composite
+def sparse_coords(draw):
+    lines = st.lists(st.integers(0, 10**9), min_size=1, max_size=7, unique=True)
+    xs, ys = draw(lines), draw(lines)
+    return draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), min_size=1, max_size=40))
+
+
 class TestSegmentsCross:
     def test_interior_crossing(self):
         assert segments_cross(edge(0, 1, 2, 1), edge(1, 0, 1, 2))
@@ -112,8 +126,8 @@ class TestSegmentsCross:
         e2 = edge(x2, y2, x2, y2 + 1 + dy2)
         assert segments_cross(e1, e2) == segments_cross(e2, e1)
 
-    @settings(max_examples=80, derandomize=True)
-    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40))
+    @settings(max_examples=160, derandomize=True)
+    @given(st.one_of(dense_coords, sparse_coords()))
     def test_crossing_conflicts_match_pairwise_scan(self, coords):
         g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
         expected = {
@@ -123,8 +137,8 @@ class TestSegmentsCross:
 
     # Every pinned digest depends on edge-id order, so the compiled tables are
     # checked here against a scan of every pair of coordinates.
-    @settings(max_examples=80, derandomize=True)
-    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40))
+    @settings(max_examples=160, derandomize=True)
+    @given(st.one_of(dense_coords, sparse_coords()))
     def test_compiled_tables_match_pairwise_reference(self, coords):
         g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
 
@@ -158,6 +172,34 @@ class TestSegmentsCross:
                 assert ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)) == step[d]
                 slots.append(e)
         assert sorted(slots) == [e for e in range(len(g._ends)) for _ in range(2)]
+
+    # The crossing sweep's work must follow the rows between a vertical
+    # edge's ends, not the coordinate gap: one that walked y from 0 to 10^12
+    # would not finish.
+    def test_crossings_of_a_column_spanning_a_huge_gap(self):
+        top = 10**12
+        coords = [(5, 0), (5, top)]
+        coords += [(0, y) for y in (1, 10**6, top - 1)] + [(10, y) for y in (1, 10**6, top - 1)]
+        coords += [(0, 7), (3, 7), (7, 9), (9, 9)]  # rows with no edge over the column
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+        column = edge(5, 0, 5, top)
+        rows = (edge(0, 1, 10, 1), edge(0, 10**6, 10, 10**6), edge(0, top - 1, 10, top - 1))
+        assert g.crossing_conflicts[column] == rows
+        assert all(g.crossing_conflicts[e] == (column,) for e in rows)
+        assert g.crossing_conflicts == {
+            e: tuple(f for f in g.all_edges if segments_cross(e, f)) for e in g.all_edges
+        }
+
+    def test_edge_keys_hash_and_look_up_alike_however_built(self):
+        g = NumberedGrid(1, [node(0, 1, 1), node(2, 1, 1), node(1, 0, 1), node(1, 2, 1), node(2, 0, 1)])
+        built = {edge(0, 1, 2, 1), edge(1, 0, 1, 2), edge(1, 0, 2, 0), edge(2, 0, 2, 1)}
+        assert set(g.all_edges) == built and {hash(e) for e in g.all_edges} == {hash(e) for e in built}
+        assert g.crossing_conflicts[edge(0, 1, 2, 1)] == (edge(1, 0, 1, 2),)
+        for e in g.all_edges:
+            twin = EdgeKey.between(e.b, e.a)
+            assert twin == e and twin is not e and hash(twin) == hash(e)
+            assert g.crossing_conflicts[twin] == g.crossing_conflicts[e]
+            assert all(f in built and e in g.crossing_conflicts[f] for f in g.crossing_conflicts[e])
 
 
 class TestGridValidation:

@@ -452,7 +452,8 @@ class TestGenerate:
             # generate's first draw picks the placement style: frame-first below 0.5.
             styles.add(Random(seed).random() < 0.5)
             g = generate(GenSpec(seed, size, size, density, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
-            assert {"_compiled", "_crossings"} <= vars(g).keys()  # shared, not yet recompiled
+            # The probe's compiled tables and its _crossings view, shared, not recompiled.
+            assert {"_compiled", "_crossings"} <= vars(g).keys()
             fresh = NumberedGrid(g.k, g.nodes)
             assert g.nodes == fresh.nodes  # the probe grid, built unchecked, is in row-major order
             assert (g._links, g._ends, g._crossings) == (fresh._links, fresh._ends, fresh._crossings)
