@@ -118,7 +118,7 @@ def _report(status: str, connections=(), trace=(), violations=(), **extra) -> di
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")  # skips a leading byte-order mark
 
 
 def _cmd_screen(args) -> tuple[dict, str]:

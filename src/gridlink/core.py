@@ -306,8 +306,8 @@ class NumberedGrid:
         Crossing is a static relation on the grid's edge set; of any crossing
         pair at most one edge may carry connections.
         """
-        edges = self.all_edges
-        return {e: tuple([edges[j] for j in cs]) for e, cs in zip(edges, self._crossings)}
+        edges = self.all_edges  # most edges cross nothing and share ()
+        return dict(zip(edges, [tuple([edges[j] for j in cs]) if cs else () for cs in self._crossings]))
 
     @cached_property
     def _digest_prefix(self):

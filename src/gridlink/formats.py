@@ -59,13 +59,6 @@ class RangeError(ParseError):
     pass
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _int_fields(parts: Sequence[str], lineno: int) -> list[int]:
     try:
         return [int(p) for p in parts]
@@ -78,8 +71,10 @@ def parse_puzzle(text: str) -> NumberedGrid:
     header_k: Optional[int] = None
     cells: list[tuple[int, int, int]] = []  # (y, x, magnitude): sorted, row-major order
     seen: dict[tuple[int, int], int] = {}  # (x, y) -> the line that placed a node there
-    for lineno, line in _significant_lines(text):
-        parts = line.split()
+    for lineno, raw in enumerate(text.splitlines(), 1):  # inline: no helper call per line
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
         if header_k is None:
             if parts[0] != "k" or len(parts) != 2:
                 raise MissingHeaderError("expected `k <int>` before any other record", lineno)
@@ -87,11 +82,14 @@ def parse_puzzle(text: str) -> NumberedGrid:
             if header_k < 1:
                 raise RangeError(f"k must be >= 1, got {header_k}", lineno)
             continue
-        if parts[0] == "k":
-            raise ParseError("duplicate `k` header", lineno)
         if parts[0] != "node" or len(parts) != 4:
-            raise ParseError(f"expected `node <x> <y> <n>`, got {line!r}", lineno)
-        x, y, n = _int_fields(parts[1:], lineno)
+            if parts[0] == "k":
+                raise ParseError("duplicate `k` header", lineno)
+            raise ParseError(f"expected `node <x> <y> <n>`, got {raw.partition('#')[0].strip()!r}", lineno)
+        try:
+            x, y, n = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError:  # _int_fields's error, without its call per line
+            raise ParseError(f"expected integers, got {' '.join(parts[1:])!r}", lineno) from None
         if x < 0 or y < 0:
             raise RangeError(f"coordinates must be non-negative, got ({x}, {y})", lineno)
         if n < 1:
@@ -120,7 +118,10 @@ def parse_solution(text: str) -> tuple[tuple[EdgeKey, int], ...]:
     """Parse a solution document into canonical (edge, multiplicity) records."""
     records: list[tuple[EdgeKey, int]] = []
     seen: dict[EdgeKey, int] = {}
-    for lineno, line in _significant_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
         parts = line.split()
         if parts[0] != "conn" or len(parts) != 6:
             raise ParseError(f"expected `conn <x1> <y1> <x2> <y2> <m>`, got {line!r}", lineno)
@@ -136,9 +137,7 @@ def parse_solution(text: str) -> tuple[tuple[EdgeKey, int], ...]:
             raise ParseError("connection must be horizontal or vertical", lineno)
         e = EdgeKey.between(c1, c2)
         if e in seen:
-            raise DuplicateEdgeError(
-                f"connection {e} already recorded on line {seen[e]}", lineno
-            )
+            raise DuplicateEdgeError(f"connection {e} already recorded on line {seen[e]}", lineno)
         seen[e] = lineno
         records.append((e, m))
     return tuple(sorted(records))

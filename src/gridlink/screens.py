@@ -65,12 +65,13 @@ def screen(grid: NumberedGrid) -> ScreenReport:
         )
 
     for p, m, links in zip(nodes, mags, grid._links):
-        nbrs = [q for _, q, _ in links]  # node ids, in Direction order
-        r = len(nbrs)
+        r = len(links)
         if r == 0:
             violations.append(Violation(1, p.coord, f"node at {p.coord} has no neighbors"))
             continue
-        nbr_sum = sum([mags[q] for q in nbrs])
+        nbr_sum = 0
+        for _, q, _ in links:  # a plain loop: no comprehension frame per node
+            nbr_sum += mags[q]
         if nbr_sum < m:
             violations.append(
                 Violation(3, p.coord, f"node at {p.coord} needs {m} but neighbors only hold {nbr_sum}")
@@ -82,7 +83,7 @@ def screen(grid: NumberedGrid) -> ScreenReport:
         j = m - (r - 1) * k
         if 2 <= j <= k:
             # The first offending neighbor in row-major order, i.e. by node id.
-            q = next((q for q in sorted(nbrs) if mags[q] <= j - 1), None)
+            q = min([q for _, q, _ in links if mags[q] <= j - 1], default=None)
             if q is not None:
                 violations.append(
                     Violation(

@@ -78,6 +78,22 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestByteOrderMark:
+    # Editors on Windows may save UTF-8 with a leading byte-order mark.
+    def test_screen_reads_a_puzzle_with_a_bom(self, capsys, tmp_path):
+        p = tmp_path / "bom.puzzle"
+        p.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "pair.puzzle").read_bytes())
+        assert run_cli(capsys, "screen", p) == run_cli(capsys, "screen", FIXTURES / "pair.puzzle")
+
+    def test_verify_reads_a_puzzle_and_a_solution_with_a_bom(self, capsys, tmp_path):
+        paths = []
+        for name in ("line3.puzzle", "line3.solution"):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        code, out, err = run_cli(capsys, "verify", *paths)
+        assert (code, out, err) == (0, "verified\n", "")
+
+
 class TestSolveMethods:
     def test_auto_reports_engine(self, capsys):
         code, out, _ = run_cli(capsys, "solve", FIXTURES / "square4.puzzle", "--method", "auto")

@@ -183,6 +183,83 @@ class TestParseSolution:
         assert serialize_solution(parse_solution(text)) == text
 
 
+# Each parser's outcome on documents at the edges of the format: the
+# serialized result, or the error's (class, line, message). Recorded before
+# the parsers read their lines inline; the reading must not change.
+PUZZLE_OUTCOMES = [
+    ('k 1\r\nnode 0 0 1\r\nnode 1 0 1\r\n', 'k 1\nnode 0 0 1\nnode 1 0 1\n'),
+    ('k 1\rnode 0 0 1\rnode 1 0 1\r', 'k 1\nnode 0 0 1\nnode 1 0 1\n'),
+    ('k 1\x0cnode 0 0 1\x0cnode 1 0 1', 'k 1\nnode 0 0 1\nnode 1 0 1\n'),
+    ('k 1\u2028node 0 0 1\u2028node 1 0 1\u2028', 'k 1\nnode 0 0 1\nnode 1 0 1\n'),
+    ('k\t2\nnode\t0  0\t2\n \tnode 0 1 2\t\n', 'k 2\nnode 0 0 2\nnode 0 1 2\n'),
+    ('# title\nk 1 # bound\nnode 0 0 1# trailing\n  # indented\nnode 1 0 1 #\n', 'k 1\nnode 0 0 1\nnode 1 0 1\n'),
+    ('k 1\nnode 0 0 1\nk 2\n', (ParseError, 3, 'line 3: duplicate `k` header')),
+    ('k 1\nnode 0 0 1\nk 1 2\n', (ParseError, 3, 'line 3: duplicate `k` header')),
+    ('k 1 2\nnode 0 0 1\n', (MissingHeaderError, 1, 'line 1: expected `k <int>` before any other record')),
+    ('k\nnode 0 0 1\n', (MissingHeaderError, 1, 'line 1: expected `k <int>` before any other record')),
+    ('k 1\nnode 0 0\n', (ParseError, 2, "line 2: expected `node <x> <y> <n>`, got 'node 0 0'")),
+    ('k 1\nnode 0 0 1 2\n', (ParseError, 2, "line 2: expected `node <x> <y> <n>`, got 'node 0 0 1 2'")),
+    ('k 1\nnode 0 zero 1\n', (ParseError, 2, "line 2: expected integers, got '0 zero 1'")),
+    ('k 1\nnode 1.5 0 1\n', (ParseError, 2, "line 2: expected integers, got '1.5 0 1'")),
+    ('k 1\nnode 0 0 0x1\n', (ParseError, 2, "line 2: expected integers, got '0 0 0x1'")),
+    ('k zero\nnode 0 0 1\n', (ParseError, 1, "line 1: expected integers, got 'zero'")),
+    ('k 1\nnode +3 0 1\nnode 1_0 0 1\nnode \u0663 1 \u0661\n', 'k 1\nnode 3 0 1\nnode 10 0 1\nnode 3 1 1\n'),
+    ('k 1\nnode +3 0 1\nnode \u0663 \uff10 1\n', (DuplicateCoordinateError, 3, 'line 3: coordinate (3, 0) already used on line 2')),
+    ('k +1\nnode 0 0 1\n', 'k 1\nnode 0 0 1\n'),
+    ('k 1\nnode -1 0 0\n', (RangeError, 2, 'line 2: coordinates must be non-negative, got (-1, 0)')),
+    ('k 1\nnode 0 0 0\n', (RangeError, 2, 'line 2: magnitude must be >= 1, got 0')),
+    ('k 0\nnode 0 0 1\n', (RangeError, 1, 'line 1: k must be >= 1, got 0')),
+    ('k 1\nnode 2 0 1\n\nnode 0 0 1\nnode 2 0 3\n', (DuplicateCoordinateError, 5, 'line 5: coordinate (2, 0) already used on line 2')),
+    ('k 1\nedge 0 0 1\n', (ParseError, 2, "line 2: expected `node <x> <y> <n>`, got 'edge 0 0 1'")),
+    ('k 1\nnode\t0 0\t1 x # comment\n', (ParseError, 2, "line 2: expected `node <x> <y> <n>`, got 'node\\t0 0\\t1 x'")),
+    ('node 0 0 1\n', (MissingHeaderError, 1, 'line 1: expected `k <int>` before any other record')),
+    ('# only a comment\n\n', (MissingHeaderError, None, 'document has no `k <int>` header')),
+    ('', (MissingHeaderError, None, 'document has no `k <int>` header')),
+    ('k 1\n# no nodes\n', (ParseError, None, 'document has no node records')),
+    ('\ufeffk 1\nnode 0 0 1\n', (MissingHeaderError, 1, 'line 1: expected `k <int>` before any other record')),
+]
+
+SOLUTION_OUTCOMES = [
+    ('conn 0 0 1 0 1\r\nconn 0 0 0 1 2\r\n', 'conn 0 0 0 1 2\nconn 0 0 1 0 1\n'),
+    ('conn 0 0 1 0 1\rconn 0 0 0 1 2\r', 'conn 0 0 0 1 2\nconn 0 0 1 0 1\n'),
+    ('conn 0 0 1 0 1\x0cconn 0 0 0 1 2', 'conn 0 0 0 1 2\nconn 0 0 1 0 1\n'),
+    ('conn 0 0 1 0 1\u2028conn 0 0 0 1 2\u2028', 'conn 0 0 0 1 2\nconn 0 0 1 0 1\n'),
+    ('# solved\nconn\t1 0\t0 0  1 # right\n\n  # done\n', 'conn 0 0 1 0 1\n'),
+    ('', ''),
+    ('conn 0 0 1 0\n', (ParseError, 1, "line 1: expected `conn <x1> <y1> <x2> <y2> <m>`, got 'conn 0 0 1 0'")),
+    ('conn 0 0 1 0 1 1\n', (ParseError, 1, "line 1: expected `conn <x1> <y1> <x2> <y2> <m>`, got 'conn 0 0 1 0 1 1'")),
+    ('conn 0 0 1 zero 1\n', (ParseError, 1, "line 1: expected integers, got '0 0 1 zero 1'")),
+    ('conn 0 0 1.5 0 1\n', (ParseError, 1, "line 1: expected integers, got '0 0 1.5 0 1'")),
+    ('conn 0 0 0x1 0 1\n', (ParseError, 1, "line 1: expected integers, got '0 0 0x1 0 1'")),
+    ('conn +0 0 1_0 0 \u0661\n', 'conn 0 0 10 0 1\n'),
+    ('conn 0 0 -1 0 0\n', (RangeError, 1, 'line 1: coordinates must be non-negative')),
+    ('conn 0 0 1 0 0\n', (RangeError, 1, 'line 1: multiplicity must be >= 1, got 0')),
+    ('conn 0 0 1 1 1\n', (ParseError, 1, 'line 1: connection must be horizontal or vertical')),
+    ('conn 1 1 1 1 1\n', (ParseError, 1, 'line 1: connection endpoints must differ, got (1, 1) twice')),
+    ('conn 0 0 1 0 1\nconn 1 0 0 0 2\n', (DuplicateEdgeError, 2, 'line 2: connection (0, 0)-(1, 0) already recorded on line 1')),
+    ('node 0 0 1\n', (ParseError, 1, "line 1: expected `conn <x1> <y1> <x2> <y2> <m>`, got 'node 0 0 1'")),
+    ('k 1\n', (ParseError, 1, "line 1: expected `conn <x1> <y1> <x2> <y2> <m>`, got 'k 1'")),
+    ('conn\t0 0 1 0  1 x # comment\n', (ParseError, 1, "line 1: expected `conn <x1> <y1> <x2> <y2> <m>`, got 'conn\\t0 0 1 0  1 x'")),
+]
+
+
+def outcome(parse, serialize, text):
+    try:
+        return serialize(parse(text))
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+class TestParserOutcomesPinned:
+    def test_puzzle_outcomes(self):
+        for text, expected in PUZZLE_OUTCOMES:
+            assert outcome(parse_puzzle, serialize_puzzle, text) == expected, text
+
+    def test_solution_outcomes(self):
+        for text, expected in SOLUTION_OUTCOMES:
+            assert outcome(parse_solution, serialize_solution, text) == expected, text
+
+
 class TestVerifySolution:
     def grid(self):
         return NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2), node(0, 1, 2), node(1, 1, 2)])
