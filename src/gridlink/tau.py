@@ -24,10 +24,12 @@ of the first non-empty table, in rule order, its word read off the node's
 capacity, and R4 reads the context's kept words.
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, of their neighbors whose capacity toward them it cuts,
-and of the ends of the edges crossing an edge it opens; and it reports
-itself to the context, which drops the kept words it may change
-(words._Context.step says which). run_tau keeps each edge's
-digest entry and replaces only the entries of the edges a step draws. The
+and of the ends of the edges crossing an edge it opens. It reports itself
+to the context, which drops the kept words it may change
+(words._Context.step says which), and returns what it drew: each edge id
+with the connections added. run_tau builds the step's record from that
+alone: it keeps each edge's digest entry, replaces only the drawn edges'
+entries, and builds the TauStep, like its word, unchecked. The
 stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
 the same bookkeeping on the empty state, so a change to a rule reaches
 both. It tests first what most often decides a candidate: the engine's
@@ -72,10 +74,6 @@ class TauRule(Enum):
     R4_OMEGA_STAR = "R4_OmegaStar"
 
 
-# The checks behind _Engine.fires, in order: over-capacity (None), then R1-R3.
-_RULE_ORDER = (None,) + tuple(TauRule)[:3]
-
-
 class TauStatus(Enum):
     SOLVED = "solved"
     STALLED = "stalled"
@@ -91,6 +89,15 @@ class TauStep:
     word: ConfigWord
     edges: tuple[tuple[EdgeKey, int], ...]  # connections created by this step
     state_digest: str
+
+
+def _step(node: Coordinate, rule: TauRule, word: ConfigWord, edges: tuple, state_digest: str) -> TauStep:
+    """TauStep(node, rule, word, edges, state_digest) without its __init__; it has no check to skip."""
+    t = object.__new__(TauStep)
+    fields = t.__dict__  # as in words._word
+    fields["node"], fields["rule"], fields["word"] = node, rule, word
+    fields["edges"], fields["state_digest"] = edges, state_digest
+    return t
 
 
 @dataclass(frozen=True)
@@ -129,10 +136,10 @@ class _Engine:
     apply steps in place. links is the grid's link table, each node id's
     existing links as (slot, neighbor id, edge id); caps each node id's
     capacity per direction (None once the node is completed); fires, per
-    check in _RULE_ORDER, the set of node ids where it fires (next_move
-    builds the chosen node's word from its caps); blocked, per edge id,
-    whether a positive edge crosses it; and ctx the word test's context,
-    built when R4 first needs it, which keeps the omega_star words.
+    check (over-capacity, R1, R2, R3), the set of node ids where it fires
+    (next_move builds the chosen node's word from its caps); blocked, per
+    edge id, whether a positive edge crosses it; and ctx the word test's
+    context, built when R4 first needs it, which keeps the omega_star words.
     """
 
     def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
@@ -207,20 +214,29 @@ class _Engine:
 
         The lowest node id where the over-capacity check fires proves the
         state unsolvable; else R4 decides, unless a local rule fires: then
-        the lowest node id where the first in table order fires takes its
+        the lowest node id in the first non-empty table of R1-R3 takes its
         caps clipped at its residual r. R1's caps sum to r; R2's and R3's one
         slot with room holds at least r, as no node is over capacity.
         """
-        for rule, table in zip(_RULE_ORDER, self.fires):
-            if table:
-                i = min(table)
-                caps, r = self.caps[i], self.res[i]
-                if rule is None:
-                    return TauStatus.UNSOLVABLE, (
-                        f"node at {self.grid.nodes[i].coord} needs {r} more connections but only "
-                        f"{sum(caps)} remain available around it"
-                    )
-                return i, rule, tuple([c if c < r else r for c in caps])
+        over, full, single, one_open = self.fires
+        if over:
+            i = min(over)
+            return TauStatus.UNSOLVABLE, (
+                f"node at {self.grid.nodes[i].coord} needs {self.res[i]} more connections but only "
+                f"{sum(self.caps[i])} remain available around it"
+            )
+        table = full or single or one_open
+        if table:
+            i = min(table)
+            if table is full:
+                rule = TauRule.R1_FULL_SATURATION
+            elif table is single:
+                rule = TauRule.R2_SINGLE_NEIGHBOR
+            else:
+                rule = TauRule.R3_ONE_INCOMPLETE_NEIGHBOR
+            c0, c1, c2, c3 = self.caps[i]
+            r = self.res[i]
+            return i, rule, (c0 if c0 < r else r, c1 if c1 < r else r, c2 if c2 < r else r, c3 if c3 < r else r)
         if not any(self.res):
             check = is_solved(self.state)
             # All nodes completed by forced moves, yet not a solution: the
@@ -261,8 +277,10 @@ class _Engine:
             return TauStatus.STALLED, "no incomplete node has any guaranteed connection"
         return best[0][2], TauRule.R4_OMEGA_STAR, best[1]
 
-    def apply(self, i: int, counts: tuple[int, ...]) -> None:
-        """Apply the word counts at node id i in place, and re-examine what it changes.
+    def apply(self, i: int, counts: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Apply the word counts at node id i in place, re-examine what it
+        changes, and return what it drew: (edge id, connections added) per
+        used slot, in slot order, from which run_tau builds the step's record.
 
         The residual changes at i and the neighbors the word connects to
         (touched), and the edges crossing an edge the step opened become
@@ -277,7 +295,7 @@ class _Engine:
         """
         mult, res, links, k = self.mult, self.res, self.links, self.grid.k
         crossings, ends, blocked = self.grid._crossings, self.grid._ends, self.blocked
-        touched, opened = [i], []
+        touched, opened, drawn = [i], [], []
         for s, q, e in links[i]:
             m = counts[s]
             if m:
@@ -287,9 +305,14 @@ class _Engine:
                 res[i] -= m
                 res[q] -= m
                 touched.append(q)
+                drawn.append((e, m))
 
-        revise = {c for q in touched for _, c, e in links[q] if res[q] < k - mult[e] or not res[q]}
-        revise.update(touched)
+        revise = set(touched)
+        for q in touched:
+            rq = res[q]
+            for _, c, e in links[q]:
+                if not rq or rq < k - mult[e]:
+                    revise.add(c)
         for e in opened:
             for x in crossings[e]:
                 blocked[x] = True
@@ -299,6 +322,7 @@ class _Engine:
                 self._revise(c)
         if self.ctx is not None:
             self.ctx.step(touched, 2 * sum(counts), revise)
+        return drawn
 
 
 def run_tau(grid: NumberedGrid) -> TauOutcome:
@@ -325,6 +349,7 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 
     engine = _Engine(state)
     trace: list[TauStep] = []
+    nodes, mult = grid.nodes, engine.mult
     all_edges, entries = grid.all_edges, [""] * len(grid._ends)  # each edge's digest entry, "" while empty
     while True:
         move = engine.next_move()
@@ -332,12 +357,12 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        drawn = [(e, counts[s]) for s, _, e in grid._links[i] if counts[s]]
-        engine.apply(i, counts)
-        for e, _ in drawn:
-            entries[e] = _entry(all_edges[e], engine.mult[e])
-        edges = tuple([(all_edges[e], m) for e, m in drawn])
-        trace.append(TauStep(grid.nodes[i].coord, rule, _word(counts), edges, _digest(grid, entries)))
+        edges = []
+        for e, m in engine.apply(i, counts):
+            key = all_edges[e]
+            entries[e] = _entry(key, mult[e])
+            edges.append((key, m))
+        trace.append(_step(nodes[i].coord, rule, _word(counts), tuple(edges), _digest(grid, entries)))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:

@@ -1,6 +1,8 @@
 """Propagation engine: builder arithmetic, rule selection, outcomes."""
 
+import dataclasses
 import hashlib
+import pickle
 import random
 from pathlib import Path
 from typing import Optional
@@ -18,6 +20,7 @@ from gridlink import (
     ResidualExceeded,
     TauRule,
     TauStatus,
+    TauStep,
     apply_builder,
     enumerate_solutions,
     is_solved,
@@ -383,6 +386,24 @@ class TestEngineCorpus:
         assert len(grids) == 16 and steps == 810
         assert rules == {TauRule.R1_FULL_SATURATION, TauRule.R3_ONE_INCOMPLETE_NEIGHBOR, TauRule.R4_OMEGA_STAR}
         assert digest.hexdigest() == LARGE_CORPUS_DIGEST
+
+    def test_unchecked_step_records_behave_as_constructed(self):
+        """run_tau builds each TauStep without the dataclass constructor; every
+        step must compare, hash, print, replace, pickle and refuse assignment
+        like TauStep(...) built from its own fields."""
+        grids = [parse_puzzle(p.read_text()) for p in sorted(FIXTURES.glob("*.puzzle"))]
+        grids.append(next(g for g in generated(ENGINE_CORPUS) if g.k == 3 and run_tau(g).trace))
+        steps = [st for g in grids for st in run_tau(g).trace]
+        assert len(steps) >= 50 and {len(st.edges) for st in steps} >= {1, 2}
+        for st in steps:
+            built = TauStep(*(getattr(st, f.name) for f in dataclasses.fields(TauStep)))
+            assert type(st) is TauStep and vars(st) == vars(built)
+            assert st == built and hash(st) == hash(built) and repr(st) == repr(built)
+            assert dataclasses.replace(st) == built
+            assert dataclasses.replace(st, state_digest="") != built
+            assert pickle.loads(pickle.dumps(st)) == built
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                st.rule = built.rule
 
 
 def reference_move(state):
