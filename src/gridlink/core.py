@@ -9,9 +9,10 @@ Each grid compiles its topology once, over integer ids: a node id is the
 node's position in nodes and an edge id its position in all_edges. The
 tables are each node's links, as (slot, neighbor id, edge id) for the
 neighbors that exist, the endpoints of each edge, and the ids of the edges
-crossing each edge. One sweep over plain (x, y) ints builds all three. It
-indexes rows by rank, so a vertical edge costs the rows between its ends,
-whatever the coordinate gap.
+crossing each edge. One sweep over plain (x, y) ints, _compile, builds all
+three, indexing rows by rank, so a vertical edge costs the rows between its
+ends, whatever the coordinate gap. The generator compiles its cells before
+any node exists; it and the parser build their nodes with _nodes, unchecked.
 PuzzleState keeps multiplicities by edge id and residuals by node id, and
 words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
@@ -95,20 +96,17 @@ def node(x: int, y: int, magnitude: int) -> Node:
     return Node(Coordinate(x, y), magnitude)
 
 
-def _coordinate(x: int, y: int) -> Coordinate:
-    """Coordinate(x, y), unchecked: x and y must be non-negative."""
-    c = object.__new__(Coordinate)
-    fields = c.__dict__  # as in _edge_key
-    fields["x"], fields["y"] = x, y
-    return c
-
-
-def _node(coord: Coordinate, magnitude: int) -> Node:
-    """Node(coord, magnitude), unchecked: magnitude must be at least 1."""
-    n = object.__new__(Node)
-    fields = n.__dict__  # as in _edge_key
-    fields["coord"], fields["magnitude"] = coord, magnitude
-    return n
+def _nodes(xs: Sequence[int], ys: Sequence[int], magnitudes: Sequence[int]) -> tuple[Node, ...]:
+    """node(x, y, m) for each x, y and m, unchecked: each x and y must be
+    non-negative and each m at least 1."""
+    new, nodes = object.__new__, []
+    for x, y, m in zip(xs, ys, magnitudes):
+        fields = (c := new(Coordinate)).__dict__  # a frozen dataclass refuses setattr, not its __dict__
+        fields["x"], fields["y"] = x, y
+        nodes.append(p := new(Node))
+        fields = p.__dict__
+        fields["coord"], fields["magnitude"] = c, m
+    return tuple(nodes)
 
 
 @dataclass(frozen=True, order=True)
@@ -142,15 +140,6 @@ class EdgeKey:
         return f"{self.a}-{self.b}"
 
 
-def _edge_key(a: Coordinate, b: Coordinate) -> EdgeKey:
-    """EdgeKey(a, b), unchecked: a and b must be canonically ordered and
-    axis-aligned, as the ends of a compiled edge are."""
-    e = object.__new__(EdgeKey)
-    fields = e.__dict__  # a frozen dataclass refuses setattr, not its __dict__
-    fields["a"], fields["b"] = a, b
-    return e
-
-
 def segments_cross(e1: EdgeKey, e2: EdgeKey) -> bool:
     """True iff the two axis-aligned segments cross in their strict interiors.
 
@@ -162,6 +151,57 @@ def segments_cross(e1: EdgeKey, e2: EdgeKey) -> bool:
         return False
     h, v = (e1, e2) if e1.horizontal else (e2, e1)
     return h.a.x < v.a.x < h.b.x and v.a.y < h.a.y < v.b.y
+
+
+def _compile(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple, tuple, tuple]:
+    """(links, ends, crossings) of the nodes at the distinct (xs[i], ys[i]),
+    in row-major order. A grid passes its nodes' coordinates; the generator
+    passes its cells, and builds nodes with _nodes once it has magnitudes.
+
+    Nodes are visited in (x, y) order. Each links to the next node on its
+    column (slots TOP=0, BOTTOM=2) and row (RIGHT=1, LEFT=3), and hands out
+    ids to the edges it is the lower end of, TOP before RIGHT: the canonical
+    edge order. A node's links arrive LEFT, BOTTOM, TOP, RIGHT, so each row
+    keeps slot order by inserting BOTTOM and TOP at the front and RIGHT
+    after TOP. Per row rank, the row's place among the distinct y values,
+    the sweep keeps the edge leaving the row's last swept node rightward,
+    or None. No node sits on a vertical edge's column strictly between its
+    ends, so it crosses exactly the open edges of the ranks between: its
+    work is the rows in between, whatever the coordinate gap. Tables are
+    built from lists, as tuple() over a generator resizes, which fills
+    CPython's free lists.
+    """
+    n = len(xs)
+    xs, ys = [*xs, -1], [*ys, -1]  # sentinel id n: on no row or column
+    rank = list(accumulate(map(ne, ys[1:n], ys), initial=0))  # row-major order ranks rows in one pass
+    by_column = sorted(range(n), key=xs.__getitem__)  # stable: row-major order within a column
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    ends: list[tuple[int, int]] = []
+    crossings: list = []  # per edge id; a horizontal edge's list fills in vertical id order
+    open_right: list[Optional[int]] = [None] * (rank[-1] + 1)
+    for a, up in zip(by_column, by_column[1:] + [n]):
+        r = rank[a]
+        top = xs[up] == xs[a]
+        if top:
+            v = len(ends)
+            links[a].insert(0, (0, up, v))
+            links[up].insert(0, (2, a, v))
+            ends.append((a, up))
+            crossed = ()
+            if rank[up] > r + 1:
+                crossed = [h for h in open_right[r + 1:rank[up]] if h is not None]
+                for h in crossed:
+                    crossings[h].append(v)
+                crossed.sort()
+            crossings.append(crossed)
+        open_right[r] = None
+        if ys[a + 1] == ys[a]:
+            open_right[r] = right = len(ends)
+            links[a].insert(top, (1, a + 1, right))
+            links[a + 1].append((3, a, right))
+            ends.append((a, a + 1))
+            crossings.append([])
+    return tuple([tuple(row) for row in links]), tuple(ends), tuple([tuple(cs) for cs in crossings])
 
 
 class NumberedGrid:
@@ -206,53 +246,8 @@ class NumberedGrid:
 
     @cached_property
     def _compiled(self) -> tuple[tuple, tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-        """(_links, _ends, _crossings), built in one sweep over plain (x, y) ints.
-
-        Nodes are visited in (x, y) order. Each links to the next node on its
-        column (slots TOP=0, BOTTOM=2) and row (RIGHT=1, LEFT=3), and hands out
-        ids to the edges it is the lower end of, TOP before RIGHT: the canonical
-        edge order. A node's links arrive LEFT, BOTTOM, TOP, RIGHT, so each row
-        keeps slot order by inserting BOTTOM and TOP at the front and RIGHT
-        after TOP. Per row rank, the row's place among the distinct y values,
-        the sweep keeps the edge leaving the row's last swept node rightward,
-        or None. No node sits on a vertical edge's column strictly between its
-        ends, so it crosses exactly the open edges of the ranks between: its
-        work is the rows in between, whatever the coordinate gap. Tables are
-        built from lists, as tuple() over a generator resizes, which fills
-        CPython's free lists.
-        """
-        n = len(self.nodes)
-        xs = [p.coord.x for p in self.nodes] + [-1]  # sentinel id n: on no row or column
-        ys = [p.coord.y for p in self.nodes] + [-1]
-        rank = list(accumulate(map(ne, ys[1:n], ys), initial=0))  # row-major order ranks rows in one pass
-        by_column = sorted(range(n), key=xs.__getitem__)  # stable: row-major order within a column
-        links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        ends: list[tuple[int, int]] = []
-        crossings: list = []  # per edge id; a horizontal edge's list fills in vertical id order
-        open_right: list[Optional[int]] = [None] * (rank[-1] + 1)
-        for a, up in zip(by_column, by_column[1:] + [n]):
-            r = rank[a]
-            top = xs[up] == xs[a]
-            if top:
-                v = len(ends)
-                links[a].insert(0, (0, up, v))
-                links[up].insert(0, (2, a, v))
-                ends.append((a, up))
-                crossed = ()
-                if rank[up] > r + 1:
-                    crossed = [h for h in open_right[r + 1:rank[up]] if h is not None]
-                    for h in crossed:
-                        crossings[h].append(v)
-                    crossed.sort()
-                crossings.append(crossed)
-            open_right[r] = None
-            if ys[a + 1] == ys[a]:
-                open_right[r] = right = len(ends)
-                links[a].insert(top, (1, a + 1, right))
-                links[a + 1].append((3, a, right))
-                ends.append((a, a + 1))
-                crossings.append([])
-        return tuple([tuple(row) for row in links]), tuple(ends), tuple([tuple(cs) for cs in crossings])
+        """(_links, _ends, _crossings): _compile over the nodes' coordinates."""
+        return _compile([p.coord.x for p in self.nodes], [p.coord.y for p in self.nodes])
 
     @cached_property
     def _links(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -296,8 +291,12 @@ class NumberedGrid:
     @cached_property
     def all_edges(self) -> tuple[EdgeKey, ...]:
         """Every neighbor-pair edge of the grid, in canonical order."""
-        coords = [n.coord for n in self.nodes]
-        return tuple([_edge_key(coords[a], coords[b]) for a, b in self._ends])
+        coords, new, edges = [n.coord for n in self.nodes], object.__new__, []
+        for a, b in self._ends:  # each EdgeKey(coords[a], coords[b]), unchecked: the ends are canonical
+            edges.append(e := new(EdgeKey))
+            fields = e.__dict__  # as in _nodes
+            fields["a"], fields["b"] = coords[a], coords[b]
+        return tuple(edges)
 
     @cached_property
     def crossing_conflicts(self) -> dict[EdgeKey, tuple[EdgeKey, ...]]:
@@ -307,7 +306,7 @@ class NumberedGrid:
         pair at most one edge may carry connections.
         """
         edges = self.all_edges  # most edges cross nothing and share ()
-        return dict(zip(edges, [tuple([edges[j] for j in cs]) if cs else () for cs in self._crossings]))
+        return dict(zip(edges, [tuple(map(edges.__getitem__, cs)) if cs else () for cs in self._crossings]))
 
     @cached_property
     def _digest_prefix(self):
@@ -317,21 +316,20 @@ class NumberedGrid:
         return hashlib.sha256(";".join(parts).encode("ascii"))
 
 
-def _grid(k: int, nodes: tuple[Node, ...]) -> NumberedGrid:
-    """NumberedGrid(k, nodes), unchecked: k must be at least 1, and nodes
-    non-empty, in row-major order and at distinct coordinates."""
+def _grid(k: int, nodes: tuple[Node, ...], compiled: tuple = ()) -> NumberedGrid:
+    """NumberedGrid(k, nodes), unchecked: k must be at least 1, and nodes non-empty,
+    in row-major order and at distinct coordinates; compiled is () or their _compile."""
     grid = object.__new__(NumberedGrid)
     grid.k, grid.nodes = k, nodes
+    if compiled:
+        vars(grid).update(zip(("_compiled", "_links", "_ends", "_crossings"), (compiled, *compiled)))
     return grid
 
 
-def _relabeled(grid: NumberedGrid, k: int, magnitudes: Sequence[int]) -> NumberedGrid:
-    """A grid over grid's coordinates with bound k, node id i labeled
-    magnitudes[i], which must be at least 1. Topology depends on the
-    coordinates alone, so the result shares the tables grid has already
-    compiled."""
-    out = _grid(k, tuple([_node(n.coord, m) for n, m in zip(grid.nodes, magnitudes)]))
-    tables = ("_index", "_compiled", "_links", "_ends", "_crossings")  # _compiled and its three views
+def _with_bound(grid: NumberedGrid, k: int) -> NumberedGrid:
+    """grid with bound k >= 1: the same nodes, and the tables grid has built, which depend on them alone."""
+    out = _grid(k, grid.nodes)
+    tables = ("_index", "_compiled", "_links", "_ends", "_crossings", "all_edges")  # not _digest_prefix, of k
     out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
     return out
 
@@ -503,16 +501,16 @@ class _Components:
 
     label[c] names the component of node id c, and members[j] lists the
     node ids of component j. union relabels the smaller side, so a node is
-    relabeled O(log n) times over any run of unions. Given a multiplicity
-    vector (indexed by edge id), the constructor unions its positive edges.
+    relabeled O(log n) times over any run of unions. Given n nodes, a grid's
+    ends table and a multiplicity vector by edge id, it unions the positive edges.
     """
 
     __slots__ = ("label", "members")
 
-    def __init__(self, grid: NumberedGrid, mult: Sequence[int] = ()) -> None:
-        self.label = list(range(len(grid.nodes)))
+    def __init__(self, n: int, ends: Sequence[tuple[int, int]], mult: Sequence[int] = ()) -> None:
+        self.label = list(range(n))
         self.members = {c: [c] for c in self.label}
-        for a, b in compress(grid._ends, mult):
+        for a, b in compress(ends, mult):
             self.union(a, b)
 
     def union(self, a: int, b: int) -> int:
@@ -542,7 +540,7 @@ def is_solved(state: PuzzleState) -> SolvedCheck:
             return SolvedCheck(
                 False, f"incomplete node at {n.coord}: degree {n.magnitude - r} != magnitude {n.magnitude}"
             )
-    comps = _Components(grid, state._mult)
+    comps = _Components(len(grid.nodes), grid._ends, state._mult)
     if len(comps.members) > 1:
         outside = next(c for c, j in enumerate(comps.label) if j != comps.label[0])
         return SolvedCheck(False, f"disconnected: node at {grid.nodes[outside].coord} is unreachable")

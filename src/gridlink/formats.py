@@ -22,9 +22,8 @@ from .core import (
     NumberedGrid,
     PuzzleState,
     SolvedCheck,
-    _coordinate,
     _grid,
-    _node,
+    _nodes,
     is_solved,
 )
 from .words import count_configs
@@ -104,8 +103,8 @@ def parse_puzzle(text: str) -> NumberedGrid:
         raise ParseError("document has no node records")
     # Every value is checked above and the cells are distinct, so the grid
     # needs no second check; ties in the sort never reach the magnitudes.
-    cells.sort()
-    return _grid(header_k, tuple([_node(_coordinate(x, y), n) for y, x, n in cells]))
+    ys, xs, magnitudes = zip(*sorted(cells))
+    return _grid(header_k, _nodes(xs, ys, magnitudes))
 
 
 def serialize_puzzle(grid: NumberedGrid) -> str:

@@ -14,12 +14,12 @@ unique solution on which the propagation engine cannot move at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import Coordinate, Node, NumberedGrid, _Components, _coordinate, _grid, _node, _relabeled
+from .core import NumberedGrid, _compile, _Components, _grid, _nodes, _with_bound
 from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
@@ -197,10 +197,9 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
     """
     if not 1 <= k_max <= MAX_SWEEP_K:
         raise ValueError(f"k_max must be in 1..{MAX_SWEEP_K}, got {k_max}")
-    grid._compiled  # compiles links, ends and crossings once: every candidate shares them
-    magnitudes = [n.magnitude for n in grid.nodes]
+    grid._compiled, grid.all_edges  # built once: every candidate shares them
     for k in range(1, k_max + 1):
-        if enumerate_solutions(_relabeled(grid, k, magnitudes), limit=1).solutions:
+        if enumerate_solutions(_with_bound(grid, k), limit=1).solutions:
             return k
     return None
 
@@ -238,13 +237,13 @@ def _spanning_multigraph(rng: Random, cells: list[int], width: int, k: int) -> O
     Returns None when a randomized spanning pass dead-ends against the
     crossing constraints.
     """
-    # Sorted distinct cells are row-major order, so the grid needs no check.
-    probe = _grid(1, tuple([_node(_coordinate(c % width, c // width), 1) for c in sorted(cells)]))
-    ends, crossing = probe._ends, probe._crossings
+    cells = sorted(cells)  # distinct and in row-major order: the tables and the grid need no check
+    xs, ys = [c % width for c in cells], [c // width for c in cells]
+    _, ends, crossing = tables = _compile(xs, ys)
     order = list(range(len(ends)))
     rng.shuffle(order)
 
-    comps = _Components(probe)
+    comps = _Components(len(cells), ends)
     label, members = comps.label, comps.members  # union updates both in place
     chosen: dict[int, int] = {}
     for e in order:
@@ -271,7 +270,7 @@ def _spanning_multigraph(rng: Random, cells: list[int], width: int, k: int) -> O
         a, b = ends[e]
         degree[a] += m
         degree[b] += m
-    return _relabeled(probe, k, degree)
+    return _grid(k, _nodes(xs, ys, degree), tables)
 
 
 def generate(spec: GenSpec) -> NumberedGrid:
@@ -284,12 +283,17 @@ def generate(spec: GenSpec) -> NumberedGrid:
     each node with its degree, so the construction itself witnesses a
     solution.
     """
-    rng = Random(spec.seed)
+    return _generate(spec, spec.seed)
+
+
+def _generate(spec: GenSpec, seed: int) -> NumberedGrid:
+    """generate(spec) with seed for spec.seed: a seed sweep builds and checks no spec per seed."""
+    rng = Random(seed)
     if spec.mode is GenMode.RANDOM:
         width, cap = spec.width, min(4 * spec.k, _MAGNITUDE_CAP)
-        # Magnitudes are drawn in draw order, so these nodes need the sort.
-        nodes = [Node(Coordinate(c % width, c // width), rng.randint(1, cap)) for c in _place_cells(rng, spec)]
-        return NumberedGrid(spec.k, nodes)
+        # Magnitudes are drawn in draw order; sorted by cell, the nodes are in row-major order.
+        cells, magnitudes = zip(*sorted([(c, rng.randint(1, cap)) for c in _place_cells(rng, spec)]))
+        return _grid(spec.k, _nodes([c % width for c in cells], [c // width for c in cells], magnitudes))
 
     # The constructive mode alternates two placement styles: plain uniform
     # cells, and frame-first (boundary before interior). The latter produces
@@ -317,9 +321,8 @@ def find_stall_witness(budget: int, spec: GenSpec) -> Optional[NumberedGrid]:
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     for i in range(budget):
-        candidate = replace(spec, seed=spec.seed + i)
         try:
-            grid = generate(candidate)
+            grid = _generate(spec, spec.seed + i)
         except GenerationFailure:
             continue
         # "run_tau stalls with an empty trace"; _stalls_at_start says how.

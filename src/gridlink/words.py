@@ -171,7 +171,7 @@ class _Context(_Components):
     __slots__ = ("mult", "res", "links", "k", "sums", "dead", "masks", "kept")
 
     def __init__(self, grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> None:
-        super().__init__(grid, mult)
+        super().__init__(len(res), grid._ends, mult)
         self.mult, self.res, self.links, self.k = mult, res, grid._links, grid.k
         self.sums = {j: sum(res[c] for c in comp) for j, comp in self.members.items()}
         self.dead = any(not s and len(self.members[j]) < len(res) for j, s in self.sums.items()) or any(

@@ -1,7 +1,9 @@
 """Grid model, neighbor resolution, crossing geometry, and the verifier."""
 
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from gridlink import (
     node,
     segments_cross,
 )
-from gridlink.core import _Components
+from gridlink.core import _compile, _Components, _nodes, _with_bound
 
 
 def edge(x1, y1, x2, y2):
@@ -200,6 +202,57 @@ class TestSegmentsCross:
             assert twin == e and twin is not e and hash(twin) == hash(e)
             assert g.crossing_conflicts[twin] == g.crossing_conflicts[e]
             assert all(f in built and e in g.crossing_conflicts[f] for f in g.crossing_conflicts[e])
+
+
+# All of a grid's nodes on one row or one column, far apart or close.
+one_line_coords = st.tuples(
+    st.sets(st.integers(0, 10**6), min_size=1, max_size=20), st.integers(0, 10**6), st.booleans()
+).map(lambda t: {(v, t[1]) if t[2] else (t[1], v) for v in t[0]})
+
+
+class TestUncheckedBuilders:
+    """The parser and the generator build nodes with _nodes, and the
+    generator compiles its cells with _compile, before any grid exists."""
+
+    @settings(max_examples=160, derandomize=True)
+    @given(st.one_of(dense_coords, sparse_coords(), one_line_coords))
+    def test_compile_over_plain_ints_matches_a_checked_grid(self, coords):
+        g = NumberedGrid(1, [node(x, y, 1) for x, y in coords])
+        cells = sorted((y, x) for x, y in coords)  # row-major order
+        tables = _compile([x for _, x in cells], [y for y, _ in cells])
+        assert tables == (g._links, g._ends, g._crossings)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(1, 8)),
+        min_size=1, max_size=12, unique_by=lambda r: r[:2],
+    ))
+    def test_unchecked_nodes_behave_as_constructed(self, records):
+        built = _nodes(*zip(*records))
+        checked = tuple(node(x, y, m) for x, y, m in records)
+        assert type(built) is tuple and built == checked
+        for b, c in zip(built, checked):
+            assert type(b) is Node and type(b.coord) is Coordinate
+            assert hash(b) == hash(c) and hash(b.coord) == hash(c.coord)
+            assert repr(b) == repr(c) and list(vars(b)) == list(vars(c)) and list(vars(b.coord)) == ["x", "y"]
+            assert pickle.loads(pickle.dumps(b)) == c
+            with pytest.raises(FrozenInstanceError):
+                b.magnitude = 1
+            with pytest.raises(FrozenInstanceError):
+                b.coord.x = 0
+        pairs = [(p.coord, q.coord) for p in built for q in built]
+        twins = [(p.coord, q.coord) for p in checked for q in checked]
+        for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a == b):
+            assert [compare(a, b) for a, b in pairs] == [compare(a, b) for a, b in twins]
+        assert NumberedGrid(1, built).nodes == NumberedGrid(1, checked).nodes
+
+    def test_a_grid_under_another_bound_shares_only_its_topology(self):
+        g = generate(GenSpec(3, 6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
+        digest, _ = PuzzleState.empty(g).digest(), g.crossing_conflicts  # both cached on g
+        out, fresh = _with_bound(g, 3), NumberedGrid(3, g.nodes)
+        assert out == fresh and out.nodes is g.nodes
+        assert out._compiled is g._compiled and out.all_edges is g.all_edges
+        assert PuzzleState.empty(out).digest() == PuzzleState.empty(fresh).digest() != digest
 
 
 class TestGridValidation:
@@ -471,12 +524,12 @@ class TestComponents:
         flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
         expected = bfs_partition(g, chosen)
 
-        comps = _Components(g)
+        comps = _Components(len(g.nodes), g._ends)
         for e, flip in zip(chosen, flips):
             a, b = g._ends[e][::-1] if flip else g._ends[e]
             j = comps.union(a, b)
             assert comps.label[a] == comps.label[b] == j
         mult = [int(e in chosen) for e in range(len(g._ends))]
-        for built in (comps, _Components(g, mult)):
+        for built in (comps, _Components(len(g.nodes), g._ends, mult)):
             assert {frozenset(m) for m in built.members.values()} == expected
             assert all(built.label[c] == j for j, m in built.members.items() for c in m)

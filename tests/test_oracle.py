@@ -443,8 +443,9 @@ class TestGenerate:
         with pytest.raises(GenerationFailure):
             generate(GenSpec(seed=1, width=1, height=1, node_density=1.0, k=1))
 
-    # A constructive grid takes its tables from the probe grid it was built
-    # on, unchecked: they must equal those a fresh compile of its nodes gives.
+    # A constructive grid takes the tables the generator compiled from its
+    # cells before any node existed, unchecked: they must equal those a fresh
+    # compile of its nodes gives.
     @pytest.mark.parametrize("size, density", [(4, 0.75), (16, 0.5), (18, 0.45), (20, 0.4)])
     def test_shared_tables_equal_a_fresh_compile(self, size, density):
         styles = set()
@@ -452,10 +453,10 @@ class TestGenerate:
             # generate's first draw picks the placement style: frame-first below 0.5.
             styles.add(Random(seed).random() < 0.5)
             g = generate(GenSpec(seed, size, size, density, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
-            # The probe's compiled tables and its _crossings view, shared, not recompiled.
+            # The generator's compiled tables and the _crossings view, attached, not recompiled.
             assert {"_compiled", "_crossings"} <= vars(g).keys()
             fresh = NumberedGrid(g.k, g.nodes)
-            assert g.nodes == fresh.nodes  # the probe grid, built unchecked, is in row-major order
+            assert g.nodes == fresh.nodes  # the nodes, built unchecked from sorted cells, are in row-major order
             assert (g._links, g._ends, g._crossings) == (fresh._links, fresh._ends, fresh._crossings)
         assert styles == {True, False}
 
@@ -474,6 +475,21 @@ class TestGenerate:
             seed=seed, width=size, height=size, node_density=density, k=k,
             mode=GenMode.SOLVABLE_BY_CONSTRUCTION,
         )
+        text = serialize_puzzle(generate(spec))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    # The same for random mode, which sorts its nodes by cell after drawing
+    # their magnitudes in placement order.
+    @pytest.mark.parametrize(
+        "seed, size, density, k, digest",
+        [
+            (5, 8, 0.5, 2, "8d49c565cc0b19fc7d49544475f70727db6ac8efab56d5ed94c92edd227eae62"),
+            (13, 12, 0.4, 1, "4b126148a209b4b25d546eeb549cc702cf7f47aa8f6522523db14eb9cb977fae"),
+            (29, 16, 0.6, 3, "b6781d52648079f9c59b4d87fd7c50fffe36f9a53c935fdea974cdd9ee84ca5f"),
+        ],
+    )
+    def test_random_output_is_pinned(self, seed, size, density, k, digest):
+        spec = GenSpec(seed=seed, width=size, height=size, node_density=density, k=k, mode=GenMode.RANDOM)
         text = serialize_puzzle(generate(spec))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
