@@ -18,7 +18,7 @@ words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
 _Components, which the verifier, the word test and the generator share.
 A digest hashes a per-grid prefix and one _entry per connected edge; run_tau
-keeps each edge's entry and replaces only those of the edges a step draws.
+extends one hasher while its steps draw past the highest connected edge id.
 
 All types here are immutable values: operations that change a state return a
 new one. The propagation engine and the enumerator step vectors of their own
@@ -310,7 +310,7 @@ class NumberedGrid:
 
     @cached_property
     def _digest_prefix(self):
-        """sha256 object fed the grid's part of every digest; _digest copies it."""
+        """sha256 object fed the grid's part of every digest, which copies it."""
         import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
         parts = [f"k={self.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.nodes]
         return hashlib.sha256(";".join(parts).encode("ascii"))
@@ -450,7 +450,9 @@ class PuzzleState:
         digits of the sha256 of "k=K", then ";n:x,y,magnitude" per node in
         row-major order, then ";e:ax,ay,bx,by,m" per connected edge in
         canonical order, in ASCII."""
-        return _digest(self.grid, [_entry(e, m) for e, m in zip(self.grid.all_edges, self._mult) if m])
+        h = self.grid._digest_prefix.copy()
+        h.update("".join([_entry(e, m) for e, m in zip(self.grid.all_edges, self._mult) if m]).encode("ascii"))
+        return h.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuzzleState):
@@ -475,14 +477,6 @@ def _state(grid: NumberedGrid, mult: Sequence[int], res: Sequence[int]) -> Puzzl
 def _entry(e: EdgeKey, m: int) -> str:
     """The digest entry ";e:ax,ay,bx,by,m" of m connections on edge e."""
     return f";e:{e.a.x},{e.a.y},{e.b.x},{e.b.y},{m}"
-
-
-def _digest(grid: NumberedGrid, entries) -> str:
-    """The digest of a state over grid, given the entries of its connected
-    edges in canonical order; an empty string adds nothing."""
-    h = grid._digest_prefix.copy()
-    h.update("".join(entries).encode("ascii"))
-    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -21,22 +21,29 @@ a positive edge crosses, the ids of the nodes where the over-capacity
 check and each rule fire, and the word test's context, which keeps each
 node's omega_star as far as computed. The next move is the lowest node id
 of the first non-empty table, in rule order, its word read off the node's
-capacity, and R4 reads the context's kept words.
+capacity, and R4 reads the context's kept words. R1's table can hold half
+a long chain, so next_move scans it up from a bound under its lowest id,
+which _revise lowers where it adds a node; R2's and R3's, which hold few,
+take min().
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, of their neighbors whose capacity toward them it cuts,
 and of the ends of the edges crossing an edge it opens. It reports itself
 to the context, which drops the kept words it may change
 (words._Context.step says which), and returns what it drew: each edge id
 with the connections added. run_tau builds the step's record from that
-alone: it keeps each edge's digest entry, replaces only the drawn edges'
-entries, and builds the TauStep, like its word, unchecked. The
-stall search (_stalls_at_start, used by oracle.find_stall_witness) reads
-the same bookkeeping on the empty state, so a change to a rule reaches
-both. It tests first what most often decides a candidate: the engine's
-first pass, stopped at the first node where a check fires; then the same R4
-pass, _Engine._words, stopped at the first word that is not zero; and the
-screens last, which is safe as the engine's checks raise nothing on any
-grid and a screen violation can only turn the answer to False.
+alone: it keeps each edge's digest entry and replaces only the drawn
+edges'. One sha256 has taken the grid's prefix and the entries up to the
+highest connected edge id; a step that draws only past that id, as each
+step of a chain does, feeds it just the entries that follow, and any other
+step hashes the joined entries from the prefix again. The TauStep is
+built, like its word, unchecked. The stall search (_stalls_at_start, used
+by oracle.find_stall_witness) reads the same bookkeeping on the empty
+state, so a change to a rule reaches both. It tests first what most often
+decides a candidate: the engine's first pass, stopped at the first node
+where a check fires; then the same R4 pass, _Engine._words, stopped at the
+first word that is not zero; and the screens last, which is safe as the
+engine's checks raise nothing on any grid and a screen violation can only
+turn the answer to False.
 
 Every applied step strictly decreases the total residual, so the loop
 terminates: solved, stalled (no guaranteed connection anywhere), or proven
@@ -58,7 +65,6 @@ from .core import (
     Node,
     NumberedGrid,
     PuzzleState,
-    _digest,
     _entry,
     _state,
     is_solved,
@@ -137,9 +143,10 @@ class _Engine:
     existing links as (slot, neighbor id, edge id); caps each node id's
     capacity per direction (None once the node is completed); fires, per
     check (over-capacity, R1, R2, R3), the set of node ids where it fires
-    (next_move builds the chosen node's word from its caps); blocked, per
-    edge id, whether a positive edge crosses it; and ctx the word test's
-    context, built when R4 first needs it, which keeps the omega_star words.
+    (next_move builds the chosen node's word from its caps); low, a bound
+    under the lowest id in R1's; blocked, per edge id, whether a positive
+    edge crosses it; and ctx the word test's context, built when R4 first
+    needs it, which keeps the omega_star words.
     """
 
     def __init__(self, state: PuzzleState, *, stop_at_fire: bool = False) -> None:
@@ -148,6 +155,7 @@ class _Engine:
         self.mult, self.res = list(state._mult), list(state._res)
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
         self.fires: list[set[int]] = [set(), set(), set(), set()]
+        self.low = 0
         # A blocked edge is empty, as positive edges never cross; and
         # multiplicities only grow here, so an edge once blocked stays so.
         self.blocked = [False] * len(self.mult)
@@ -197,6 +205,8 @@ class _Engine:
             over.discard(i)
         if r == room:
             full.add(i)
+            if i < self.low:
+                self.low = i
         else:
             full.discard(i)
         if len(links) == 1:
@@ -227,13 +237,15 @@ class _Engine:
             )
         table = full or single or one_open
         if table:
-            i = min(table)
             if table is full:
-                rule = TauRule.R1_FULL_SATURATION
+                i = self.low
+                while i not in full:
+                    i += 1
+                self.low, rule = i, TauRule.R1_FULL_SATURATION
             elif table is single:
-                rule = TauRule.R2_SINGLE_NEIGHBOR
+                i, rule = min(single), TauRule.R2_SINGLE_NEIGHBOR
             else:
-                rule = TauRule.R3_ONE_INCOMPLETE_NEIGHBOR
+                i, rule = min(one_open), TauRule.R3_ONE_INCOMPLETE_NEIGHBOR
             c0, c1, c2, c3 = self.caps[i]
             r = self.res[i]
             return i, rule, (c0 if c0 < r else r, c1 if c1 < r else r, c2 if c2 < r else r, c3 if c3 < r else r)
@@ -351,6 +363,9 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
     trace: list[TauStep] = []
     nodes, mult = grid.nodes, engine.mult
     all_edges, entries = grid.all_edges, [""] * len(grid._ends)  # each edge's digest entry, "" while empty
+    # h has taken the prefix and each entry up to top, the highest connected edge id.
+    prefix = grid._digest_prefix
+    h, top = prefix.copy(), -1
     while True:
         move = engine.next_move()
         if isinstance(move[0], TauStatus):
@@ -358,11 +373,22 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
         edges = []
+        lo, hi = len(entries), top
         for e, m in engine.apply(i, counts):
             key = all_edges[e]
             entries[e] = _entry(key, mult[e])
             edges.append((key, m))
-        trace.append(_step(nodes[i].coord, rule, _word(counts), tuple(edges), _digest(grid, entries)))
+            if e < lo:
+                lo = e
+            if e > hi:
+                hi = e
+        if lo > top:
+            h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
+        else:  # entries past hi are ""
+            h = prefix.copy()
+            h.update("".join(entries).encode("ascii"))
+        top = hi
+        trace.append(_step(nodes[i].coord, rule, _word(counts), tuple(edges), h.hexdigest()[:16]))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:

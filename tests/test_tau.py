@@ -54,6 +54,39 @@ def square_grid():
     return NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2), node(0, 1, 2), node(1, 1, 2)])
 
 
+def chain_grid(n):
+    """A k=1 row of n nodes, magnitude 2 inside; R1 solves it one edge at a time, left to right."""
+    return NumberedGrid(1, [node(i, 0, 1 if i in (0, n - 1) else 2) for i in range(n)])
+
+
+class CountedHasher:
+    """Stands in for a grid's cached _digest_prefix, and for each copy of it:
+    counts the copies taken and the bytes fed to them."""
+
+    def __init__(self, h, counts=None):
+        self.h, self.counts = h, counts or {"copies": 0, "bytes": 0}
+
+    def copy(self):
+        self.counts["copies"] += 1
+        return CountedHasher(self.h.copy(), self.counts)
+
+    def update(self, data):
+        self.counts["bytes"] += len(data)
+        self.h.update(data)
+
+    def hexdigest(self):
+        return self.h.hexdigest()
+
+
+def counted_run_tau(g):
+    """run_tau(g), and the CountedHasher counts of its digests."""
+    prefix = g.__dict__["_digest_prefix"] = CountedHasher(g._digest_prefix)
+    try:
+        return run_tau(g), prefix.counts
+    finally:
+        g.__dict__["_digest_prefix"] = prefix.h
+
+
 class TestApplyBuilder:
     def test_residuals_drop_on_both_sides(self):
         g = square_grid()
@@ -133,11 +166,19 @@ class TestRunTau:
         assert len(out.trace) <= sum(n.magnitude for n in g.nodes)
 
     def test_replayed_trace_reaches_final_state(self):
-        # The k=2 grids raise an edge that already has a connection five
-        # times, so run_tau must replace that edge's kept digest entry.
-        raised = 0
-        for g in [square_grid()] + generated([(6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10))]):
-            out = run_tau(g)
+        # run_tau feeds its one hasher only the entries past the highest
+        # connected edge id while a step draws past it alone, as every step
+        # of a chain does, and else starts again from the grid's prefix: on
+        # the 6x6 grids, a step often draws below it, and the k=2 ones raise
+        # an edge that already has a connection five times, replacing its
+        # entry. Each step's digest must be the replayed state's.
+        chain, raised, steps, restarts = chain_grid(30), 0, 0, 0
+        for g in [chain, square_grid()] + generated([(6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10))]):
+            out, counts = counted_run_tau(g)
+            steps += len(out.trace)
+            restarts += counts["copies"] - 1  # the first copy starts the run
+            if g is chain:
+                assert (len(out.trace), counts["copies"]) == (29, 1)
             s = PuzzleState.empty(g)
             for step in out.trace:
                 raised += sum(1 for e, _ in step.edges if s.multiplicity(e))
@@ -145,6 +186,7 @@ class TestRunTau:
                 assert s.digest() == step.state_digest
             assert s == out.final_state
         assert raised == 5
+        assert 0 < restarts < steps - 29
 
     def test_deterministic_traces(self):
         g1, g2 = square_grid(), square_grid()
@@ -537,6 +579,9 @@ def walk_toward_solutions(corpus, step, seed, least_steps, least_checks):
             fresh = _Engine(state)
             assert (engine.caps, engine.fires) == (fresh.caps, fresh.fires)
             assert engine.blocked == fresh.blocked
+            if engine.fires[1] and not engine.fires[0]:  # next_move keeps R1's bound
+                assert min(engine.fires[1]) >= engine.low
+                assert engine.next_move()[0] == min(engine.fires[1])
             incomplete = [i for i, caps in enumerate(engine.caps) if caps is not None]
             if not incomplete:
                 break
@@ -591,6 +636,28 @@ class TestIncrementalEngine:
         assert reasons == set(ENGINE_REASONS)
         assert crossed >= 5
         assert memo_checks >= 1000
+
+    def test_next_move_takes_the_lowest_id_of_the_first_local_table(self):
+        # next_move scans R1's table up from a bound it keeps across steps,
+        # and takes min() of R2's and R3's: each must give the lowest id.
+        grids = generated([(5, 5, 0.6, k, GenMode.RANDOM, range(35)) for k in (1, 2, 3)]
+                          + [(6, 6, 0.5, k, GenMode.SOLVABLE_BY_CONSTRUCTION, range(35)) for k in (1, 2, 3)])
+        assert len(grids) >= 200
+        taken = [0, 0, 0]
+        for g in grids:
+            engine = _Engine(PuzzleState.empty(g))
+            while True:
+                tables = engine.fires[1:]
+                first = next((t for t in tables if t), None)
+                assert min(engine.fires[1], default=engine.low) >= engine.low
+                move = engine.next_move()
+                if isinstance(move[0], TauStatus):
+                    break
+                if first is not None:
+                    assert move[0] == min(first), (g.nodes, engine.state.connections())
+                    taken[tables.index(first)] += 1
+                engine.apply(move[0], move[2])
+        assert min(taken) >= 10, taken
 
     def test_bookkeeping_survives_random_steps_toward_a_solution(self):
         # Each step completes a random incomplete node the way one solution
@@ -682,14 +749,33 @@ class TestIncrementalEngine:
 
     def test_a_long_chain_costs_linear_capacity_work(self, monkeypatch):
         # Every interior node of a k=1 chain of magnitude-2 nodes is
-        # saturated, so the engine solves it with 1199 R1 steps. Re-examining
-        # every node's capacity and rules per step made this quadratic; a
-        # step re-examines only the few nodes around it whose view changed,
-        # and formats the digest entry of the one edge it draws.
+        # saturated, so the engine solves it with 1199 R1 steps, each
+        # drawing the edge past the last. Three costs per step made this
+        # quadratic: re-examining every node's capacity and rules, hashing
+        # every entry for the step's digest, and taking min() of R1's table,
+        # which holds half the chain on average. A step re-examines only the
+        # few nodes around it whose view changed, formats and hashes the
+        # digest entry of the one edge it draws, and next_move scans R1's
+        # table up from a bound on its lowest id: its probes are the bound's
+        # total advance plus one per step.
         n = 1200
-        g = NumberedGrid(1, [node(i, 0, 1 if i in (0, n - 1) else 2) for i in range(n)])
-        calls = {"_revise": 0, "_entry": 0}
-        revise, entry = _Engine._revise, tau_module._entry
+        g = chain_grid(n)
+        calls = {"_revise": 0, "_entry": 0, "probes": 0}
+        revise, entry, init = _Engine._revise, tau_module._entry, _Engine.__init__
+
+        class Probed(set):
+            def __contains__(self, i):
+                calls["probes"] += 1
+                return super().__contains__(i)
+
+            def __iter__(self):
+                for i in super().__iter__():
+                    calls["probes"] += 1
+                    yield i
+
+        def probed_init(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
+            engine.fires[1] = Probed(engine.fires[1])
 
         def counted_revise(engine, i):
             calls["_revise"] += 1
@@ -700,11 +786,15 @@ class TestIncrementalEngine:
             return entry(e, m)
 
         monkeypatch.setattr(_Engine, "_revise", counted_revise)
+        monkeypatch.setattr(_Engine, "__init__", probed_init)
         monkeypatch.setattr(tau_module, "_entry", counted_entry)
-        out = run_tau(g)
+        out, hashed = counted_run_tau(g)
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
         assert calls["_revise"] <= 3 * n
         assert calls["_entry"] == n - 1
+        entries = sum(len(entry(e, m)) for e, m in out.final_state.connections().items())
+        assert hashed["bytes"] <= 2 * entries
+        assert calls["probes"] <= 2 * n
 
     def test_r4_runs_retest_only_the_words_a_step_can_change(self, monkeypatch):
         # Five constructive k=2-3 grids that take 1-11 R4 steps each. A step
