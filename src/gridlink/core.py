@@ -5,14 +5,14 @@ Coordinates grow rightward (x) and upward (y), so a node's Top neighbor is
 the nearest node with the same x and a strictly larger y. Neighbors are the
 nearest node in each axis direction; in sparse grids they may be far away.
 
-Each grid compiles its topology once, over integer ids: a node id is the
-node's position in nodes and an edge id its position in all_edges. The
+Each grid compiles its topology when built, over integer ids: a node id is
+the node's position in nodes and an edge id its position in all_edges. The
 tables are each node's links, as (slot, neighbor id, edge id) for the
 neighbors that exist, the endpoints of each edge, and the ids of the edges
 crossing each edge. One sweep over plain (x, y) ints, _compile, builds all
 three, indexing rows by rank, so a vertical edge costs the rows between its
-ends, whatever the coordinate gap. The generator compiles its cells before
-any node exists; it and the parser build their nodes with _nodes, unchecked.
+ends, whatever the coordinate gap. The generator and the parser compile
+their sorted ints and build nodes with _nodes before any grid, unchecked.
 PuzzleState keeps multiplicities by edge id and residuals by node id, and
 words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
@@ -210,11 +210,15 @@ class NumberedGrid:
     Nodes are kept in row-major order (by y, then x), which fixes the scan
     order used throughout the package. A node's id is its position in nodes
     and an edge's id its position in all_edges; the grid compiles its
-    topology into tables over these ids once, on first use, and every
-    neighbor, edge and crossing query reads them.
+    topology into tables over these ids when built, and every neighbor, edge
+    and crossing query reads them. _links holds, per node id, its existing
+    links as (slot, neighbor id, edge id) in increasing slot order, slot
+    d - 1 pointing in Direction d; _ends, per edge id, its two node ids in
+    canonical order; _crossings, per edge id, the sorted ids of the edges
+    that geometrically cross it.
     """
 
-    __slots__ = ("k", "nodes", "__dict__")
+    __slots__ = ("k", "nodes", "_links", "_ends", "_crossings", "__dict__")
 
     def __init__(self, k: int, nodes) -> None:
         if k < 1:
@@ -228,6 +232,8 @@ class NumberedGrid:
             raise ValueError(f"duplicate coordinate {dup.coord}")
         self.k = k
         self.nodes: tuple[Node, ...] = tuple([n for _, _, n in keyed])
+        ys, xs = zip(*[c for c, _, _ in keyed])
+        self._links, self._ends, self._crossings = _compile(xs, ys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberedGrid):
@@ -243,27 +249,6 @@ class NumberedGrid:
     @cached_property
     def _index(self) -> dict[Coordinate, int]:
         return {n.coord: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
-    def _compiled(self) -> tuple[tuple, tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-        """(_links, _ends, _crossings): _compile over the nodes' coordinates."""
-        return _compile([p.coord.x for p in self.nodes], [p.coord.y for p in self.nodes])
-
-    @cached_property
-    def _links(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per node id, its existing links as (slot, neighbor id, edge id),
-        in increasing slot order: slot d - 1 points in Direction d."""
-        return self._compiled[0]
-
-    @cached_property
-    def _ends(self) -> tuple[tuple[int, int], ...]:
-        """Per edge id, its two node ids in canonical order."""
-        return self._compiled[1]
-
-    @cached_property
-    def _crossings(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge id, the sorted ids of the edges that geometrically cross it."""
-        return self._compiled[2]
 
     def node_at(self, coord: Coordinate) -> Optional[Node]:
         i = self._index.get(coord)
@@ -316,22 +301,13 @@ class NumberedGrid:
         return hashlib.sha256(";".join(parts).encode("ascii"))
 
 
-def _grid(k: int, nodes: tuple[Node, ...], compiled: tuple = ()) -> NumberedGrid:
+def _grid(k: int, nodes: tuple[Node, ...], tables: tuple) -> NumberedGrid:
     """NumberedGrid(k, nodes), unchecked: k must be at least 1, and nodes non-empty,
-    in row-major order and at distinct coordinates; compiled is () or their _compile."""
+    in row-major order and at distinct coordinates; tables must be their _compile."""
     grid = object.__new__(NumberedGrid)
     grid.k, grid.nodes = k, nodes
-    if compiled:
-        vars(grid).update(zip(("_compiled", "_links", "_ends", "_crossings"), (compiled, *compiled)))
+    grid._links, grid._ends, grid._crossings = tables
     return grid
-
-
-def _with_bound(grid: NumberedGrid, k: int) -> NumberedGrid:
-    """grid with bound k >= 1: the same nodes, and the tables grid has built, which depend on them alone."""
-    out = _grid(k, grid.nodes)
-    tables = ("_index", "_compiled", "_links", "_ends", "_crossings", "all_edges")  # not _digest_prefix, of k
-    out.__dict__.update({t: grid.__dict__[t] for t in tables if t in grid.__dict__})
-    return out
 
 
 class PuzzleState:
@@ -383,7 +359,8 @@ class PuzzleState:
         return 0 if i is None else self._mult[i]
 
     def degree(self, p: Node) -> int:
-        return p.magnitude - self.residual(p)
+        i = self.grid._index[p.coord]
+        return self.grid.nodes[i].magnitude - self._res[i]
 
     def residual(self, p: Node) -> int:
         return self._res[self.grid._index[p.coord]]

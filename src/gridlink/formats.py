@@ -22,6 +22,7 @@ from .core import (
     NumberedGrid,
     PuzzleState,
     SolvedCheck,
+    _compile,
     _grid,
     _nodes,
     is_solved,
@@ -104,7 +105,7 @@ def parse_puzzle(text: str) -> NumberedGrid:
     # Every value is checked above and the cells are distinct, so the grid
     # needs no second check; ties in the sort never reach the magnitudes.
     ys, xs, magnitudes = zip(*sorted(cells))
-    return _grid(header_k, _nodes(xs, ys, magnitudes))
+    return _grid(header_k, _nodes(xs, ys, magnitudes), _compile(xs, ys))
 
 
 def serialize_puzzle(grid: NumberedGrid) -> str:

@@ -19,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import Optional
 
-from .core import NumberedGrid, _compile, _Components, _grid, _nodes, _with_bound
+from .core import NumberedGrid, _compile, _Components, _grid, _nodes
 from .formats import _MAX_BOARD_CELLS
 from .tau import _stalls_at_start
 
@@ -197,9 +197,11 @@ def min_solvable_k(grid: NumberedGrid, k_max: int) -> Optional[int]:
     """
     if not 1 <= k_max <= MAX_SWEEP_K:
         raise ValueError(f"k_max must be in 1..{MAX_SWEEP_K}, got {k_max}")
-    grid._compiled, grid.all_edges  # built once: every candidate shares them
+    tables = grid._links, grid._ends, grid._crossings  # of the nodes alone, as all_edges is
     for k in range(1, k_max + 1):
-        if enumerate_solutions(_with_bound(grid, k), limit=1).solutions:
+        candidate = _grid(k, grid.nodes, tables)
+        candidate.all_edges = grid.all_edges  # fills the cached property: built once, shared by all
+        if enumerate_solutions(candidate, limit=1).solutions:
             return k
     return None
 
@@ -293,7 +295,8 @@ def _generate(spec: GenSpec, seed: int) -> NumberedGrid:
         width, cap = spec.width, min(4 * spec.k, _MAGNITUDE_CAP)
         # Magnitudes are drawn in draw order; sorted by cell, the nodes are in row-major order.
         cells, magnitudes = zip(*sorted([(c, rng.randint(1, cap)) for c in _place_cells(rng, spec)]))
-        return _grid(spec.k, _nodes([c % width for c in cells], [c // width for c in cells], magnitudes))
+        xs, ys = [c % width for c in cells], [c // width for c in cells]
+        return _grid(spec.k, _nodes(xs, ys, magnitudes), _compile(xs, ys))
 
     # The constructive mode alternates two placement styles: plain uniform
     # cells, and frame-first (boundary before interior). The latter produces

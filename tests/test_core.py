@@ -29,7 +29,9 @@ from gridlink import (
     node,
     segments_cross,
 )
-from gridlink.core import _compile, _Components, _nodes, _with_bound
+from gridlink import oracle
+from gridlink.core import _compile, _Components, _nodes
+from gridlink.oracle import SolutionSet, min_solvable_k
 
 
 def edge(x1, y1, x2, y2):
@@ -211,8 +213,8 @@ one_line_coords = st.tuples(
 
 
 class TestUncheckedBuilders:
-    """The parser and the generator build nodes with _nodes, and the
-    generator compiles its cells with _compile, before any grid exists."""
+    """The parser and the generator compile plain ints with _compile and
+    build nodes with _nodes before any grid exists."""
 
     @settings(max_examples=160, derandomize=True)
     @given(st.one_of(dense_coords, sparse_coords(), one_line_coords))
@@ -246,12 +248,17 @@ class TestUncheckedBuilders:
             assert [compare(a, b) for a, b in pairs] == [compare(a, b) for a, b in twins]
         assert NumberedGrid(1, built).nodes == NumberedGrid(1, checked).nodes
 
-    def test_a_grid_under_another_bound_shares_only_its_topology(self):
+    def test_a_grid_under_another_bound_shares_only_its_topology(self, monkeypatch):
         g = generate(GenSpec(3, 6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
         digest, _ = PuzzleState.empty(g).digest(), g.crossing_conflicts  # both cached on g
-        out, fresh = _with_bound(g, 3), NumberedGrid(3, g.nodes)
+        tried = []  # every candidate min_solvable_k builds, none found solvable
+        monkeypatch.setattr(oracle, "enumerate_solutions", lambda grid, limit: tried.append(grid) or SolutionSet((), True))
+        assert min_solvable_k(g, 3) is None and [c.k for c in tried] == [1, 2, 3]
+        out, fresh = tried[-1], NumberedGrid(3, g.nodes)
         assert out == fresh and out.nodes is g.nodes
-        assert out._compiled is g._compiled and out.all_edges is g.all_edges
+        assert (out._links, out._ends, out._crossings) == (fresh._links, fresh._ends, fresh._crossings)
+        assert out._links is g._links and out._ends is g._ends and out._crossings is g._crossings
+        assert out.all_edges is g.all_edges
         assert PuzzleState.empty(out).digest() == PuzzleState.empty(fresh).digest() != digest
 
 
@@ -296,6 +303,13 @@ class TestDegreeAndState:
         s = s.add_connections(edge(0, 0, 0, 1), 1)
         assert s.degree(p) == 2
         assert s.residual(p) == 0
+
+    def test_degree_reads_the_grids_magnitude(self):
+        # The node passed names a coordinate; its magnitude is the grid's, not its own.
+        g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1)])
+        s = PuzzleState.empty(g)
+        assert s.degree(node(0, 0, 7)) == 0
+        assert s.add_connections(edge(0, 0, 1, 0), 1).degree(node(0, 0, 7)) == 1
 
     def test_double_edge_counts_twice(self):
         g = NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2)])

@@ -10,7 +10,7 @@ from typing import Optional
 
 import pytest
 
-from gridlink import oracle
+from gridlink import formats, oracle
 from gridlink import (
     GenMode,
     GenSpec,
@@ -23,6 +23,7 @@ from gridlink import (
     is_solved,
     min_solvable_k,
     node,
+    parse_puzzle,
     run_tau,
     screen,
     segments_cross,
@@ -30,6 +31,7 @@ from gridlink import (
     SolutionSet,
     TauStatus,
 )
+from gridlink.core import _compile
 
 
 def spans(n_nodes: int, pairs) -> bool:
@@ -394,14 +396,21 @@ class TestMinSolvableK:
 
     def test_candidates_share_the_compiled_topology(self, monkeypatch):
         g = NumberedGrid(1, [node(0, 0, 2), node(1, 0, 3), node(0, 1, 1), node(1, 1, 2)])
+        digest = PuzzleState.empty(g).digest()  # caches g's digest prefix, which is of k
         tried = []
         real = oracle.enumerate_solutions
         monkeypatch.setattr(oracle, "enumerate_solutions", lambda grid, limit: tried.append(grid) or real(grid, limit))
         assert min_solvable_k(g, 4) == 2
         assert [c.k for c in tried] == [1, 2]
+        digests = []
         for candidate in tried:
-            assert candidate.nodes == g.nodes
-            assert candidate._compiled is g._compiled and candidate._crossings is g._crossings
+            assert candidate._links is g._links and candidate._ends is g._ends
+            assert candidate._crossings is g._crossings and candidate.all_edges is g.all_edges
+            fresh = NumberedGrid(candidate.k, g.nodes)
+            assert candidate == fresh and candidate.nodes is g.nodes
+            digests.append(PuzzleState.empty(candidate).digest())
+            assert digests[-1] == PuzzleState.empty(fresh).digest()
+        assert digests[0] == digest != digests[1]
 
     def test_k_max_bound_enforced(self):
         g = NumberedGrid(1, [node(0, 0, 1), node(1, 0, 1)])
@@ -443,21 +452,36 @@ class TestGenerate:
         with pytest.raises(GenerationFailure):
             generate(GenSpec(seed=1, width=1, height=1, node_density=1.0, k=1))
 
-    # A constructive grid takes the tables the generator compiled from its
-    # cells before any node existed, unchecked: they must equal those a fresh
-    # compile of its nodes gives.
+    # A generated or parsed grid takes the tables its builder compiled from
+    # plain ints before any node existed, unchecked: they must equal those a
+    # fresh compile of its nodes gives.
     @pytest.mark.parametrize("size, density", [(4, 0.75), (16, 0.5), (18, 0.45), (20, 0.4)])
-    def test_shared_tables_equal_a_fresh_compile(self, size, density):
+    def test_shared_tables_equal_a_fresh_compile(self, size, density, monkeypatch):
+        compiled = []
+
+        def recording(xs, ys):
+            compiled.append(tables := _compile(xs, ys))
+            return tables
+
+        def check(built):
+            tables = (built._links, built._ends, built._crossings)
+            # The builder's last compile, attached, not recompiled.
+            assert all(t is c for t, c in zip(tables, compiled[-1], strict=True))
+            fresh = NumberedGrid(built.k, built.nodes)
+            assert built.nodes == fresh.nodes  # the nodes, built unchecked from sorted ints, are in row-major order
+            assert tables == (fresh._links, fresh._ends, fresh._crossings)
+
+        monkeypatch.setattr(oracle, "_compile", recording)
+        monkeypatch.setattr(formats, "_compile", recording)
         styles = set()
         for seed in range(6):
-            # generate's first draw picks the placement style: frame-first below 0.5.
+            # generate's first draw picks the constructive placement style: frame-first below 0.5.
             styles.add(Random(seed).random() < 0.5)
-            g = generate(GenSpec(seed, size, size, density, 2, GenMode.SOLVABLE_BY_CONSTRUCTION))
-            # The generator's compiled tables and the _crossings view, attached, not recompiled.
-            assert {"_compiled", "_crossings"} <= vars(g).keys()
-            fresh = NumberedGrid(g.k, g.nodes)
-            assert g.nodes == fresh.nodes  # the nodes, built unchecked from sorted cells, are in row-major order
-            assert (g._links, g._ends, g._crossings) == (fresh._links, fresh._ends, fresh._crossings)
+            for mode in (GenMode.RANDOM, GenMode.SOLVABLE_BY_CONSTRUCTION):
+                check(g := generate(GenSpec(seed, size, size, density, 2, mode)))
+                header, *records = serialize_puzzle(g).splitlines()
+                check(parse_puzzle(serialize_puzzle(g)))
+                check(parse_puzzle("\n".join([header, *reversed(records)])))  # sorted by the parser, not the file
         assert styles == {True, False}
 
     # sha256 of serialize_puzzle(generate(spec)): a seed must keep naming the
