@@ -6,13 +6,11 @@ and the exhaustive oracle all walk the same grids, so the (expensive) full
 enumeration per grid is computed once per session.
 """
 
-from pathlib import Path
-
 import pytest
 
-from gridlink import GenMode, GenSpec, GenerationFailure, NumberedGrid, generate, node
+from gridlink import GenMode, GenSpec, NumberedGrid, node
 
-FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+from reference import grids
 
 # (width, height, density, k, mode, seeds)
 CORPUS_SHAPES = [
@@ -47,29 +45,18 @@ EXTRA_GRIDS = [
 
 
 def build_corpus():
-    grids = []
-    for shape_id, (width, height, density, k, mode, seeds) in enumerate(CORPUS_SHAPES):
-        for seed in range(seeds):
-            spec = GenSpec(
-                seed=seed * 7919 + shape_id * 1009,
-                width=width,
-                height=height,
-                node_density=density,
-                k=k,
-                mode=mode,
-            )
-            try:
-                grids.append(generate(spec))
-            except GenerationFailure:
-                continue
-    return grids
+    return list(grids(
+        GenSpec(seed=seed * 7919 + shape_id * 1009, width=width, height=height, node_density=density, k=k, mode=mode)
+        for shape_id, (width, height, density, k, mode, seeds) in enumerate(CORPUS_SHAPES)
+        for seed in range(seeds)
+    ))
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    grids = build_corpus()
-    assert len(grids) >= 500
-    return grids + EXTRA_GRIDS
+    built = build_corpus()
+    assert len(built) >= 500
+    return built + EXTRA_GRIDS
 
 
 @pytest.fixture(scope="session")

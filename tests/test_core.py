@@ -15,7 +15,6 @@ from gridlink import (
     CrossingViolation,
     Direction,
     EdgeKey,
-    GenerationFailure,
     GenMode,
     GenSpec,
     GridError,
@@ -33,9 +32,7 @@ from gridlink import oracle
 from gridlink.core import _compile, _Components, _nodes
 from gridlink.oracle import SolutionSet, min_solvable_k
 
-
-def edge(x1, y1, x2, y2):
-    return EdgeKey.between(Coordinate(x1, y1), Coordinate(x2, y2))
+from reference import components, edge, random_grids
 
 
 class TestNeighbor:
@@ -380,15 +377,7 @@ def random_states(rng, count):
     """States reached from the empty one by random add_connections calls on
     generated 2x2-6x6 grids (k 1-3, both modes); rejected additions are
     skipped."""
-    for seed in range(count):
-        spec = GenSpec(
-            seed=seed, width=rng.randint(2, 6), height=rng.randint(2, 6),
-            node_density=rng.uniform(0.4, 1.0), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
-        )
-        try:
-            g = generate(spec)
-        except GenerationFailure:
-            continue
+    for g in random_grids(rng, count, (2, 6), (0.4, 1.0), (1, 3), list(GenMode)):
         state = PuzzleState.empty(g)
         yield state
         for _ in range(rng.randint(1, 12)):
@@ -509,25 +498,6 @@ class TestIsSolved:
         assert sum(n.magnitude for n in g.nodes) == 2 * sum(s.connections().values())
 
 
-def bfs_partition(grid, edge_ids):
-    """The node-id partition under the given edge ids, by breadth-first search."""
-    adjacent = [set() for _ in grid.nodes]
-    for e in edge_ids:
-        a, b = grid._ends[e]
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    parts, seen = set(), set()
-    for start in range(len(grid.nodes)):
-        if start not in seen:
-            comp = frontier = {start}
-            while frontier:
-                frontier = {q for c in frontier for q in adjacent[c]} - comp
-                comp = comp | frontier
-            seen |= comp
-            parts.add(frozenset(comp))
-    return parts
-
-
 class TestComponents:
     @settings(max_examples=100, derandomize=True)
     @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=24), st.data())
@@ -536,7 +506,7 @@ class TestComponents:
         order = data.draw(st.permutations(range(len(g._ends))))
         chosen = order[: data.draw(st.integers(0, len(order)))]
         flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
-        expected = bfs_partition(g, chosen)
+        expected = {frozenset(c) for c in components(len(g.nodes), [g._ends[e] for e in chosen])}
 
         comps = _Components(len(g.nodes), g._ends)
         for e, flip in zip(chosen, flips):

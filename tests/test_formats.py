@@ -13,10 +13,7 @@ from gridlink import (
     Coordinate,
     DuplicateCoordinateError,
     DuplicateEdgeError,
-    EdgeKey,
     GenMode,
-    GenSpec,
-    GenerationFailure,
     GridError,
     MissingHeaderError,
     NumberedGrid,
@@ -25,7 +22,6 @@ from gridlink import (
     RangeError,
     apply_builder,
     count_table,
-    generate,
     node,
     parse_puzzle,
     parse_solution,
@@ -35,24 +31,14 @@ from gridlink import (
     verify_solution,
 )
 
-
-def edge(x1, y1, x2, y2):
-    return EdgeKey.between(Coordinate(x1, y1), Coordinate(x2, y2))
+from reference import edge, random_grids
 
 
 def random_boards():
     """Generated grids of up to 12x12 cells, each with a random set of the
     connections its state accepts (multiplicities up to k = 3)."""
     rng = Random(12)
-    for seed in range(40):
-        spec = GenSpec(
-            seed=seed, width=rng.randint(2, 12), height=rng.randint(2, 12),
-            node_density=rng.uniform(0.3, 0.9), k=rng.randint(1, 3), mode=rng.choice(list(GenMode)),
-        )
-        try:
-            g = generate(spec)
-        except GenerationFailure:
-            continue
+    for g in random_grids(rng, 40, (2, 12), (0.3, 0.9), (1, 3), list(GenMode)):
         state = PuzzleState.empty(g)
         for e in g.all_edges:
             if rng.random() < 0.5:

@@ -1,7 +1,6 @@
 """Exhaustive enumerator, minimal-k sweep, generator, stall search."""
 
 import hashlib
-import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -26,66 +25,13 @@ from gridlink import (
     parse_puzzle,
     run_tau,
     screen,
-    segments_cross,
     serialize_puzzle,
     SolutionSet,
     TauStatus,
 )
 from gridlink.core import _compile
 
-
-def spans(n_nodes: int, pairs) -> bool:
-    """True when the node pairs join all n_nodes nodes: node 0's reach,
-    grown pair by pair to a fixpoint, covers every node."""
-    reached, grown = set(), {0}
-    while grown != reached:
-        reached = grown
-        grown = reached.union(*[p for p in pairs if not reached.isdisjoint(p)])
-    return len(reached) == n_nodes
-
-
-def brute_force_solutions(grid: NumberedGrid, limit: Optional[int] = None) -> SolutionSet:
-    """Independent check with no DFS and no union-find: try every assignment
-    of 0..k to the edges in canonical order, as itertools.product lists them
-    (first edge most significant, which is the enumerator's own order), and
-    keep those where every node's degree is its magnitude, no crossing pair
-    is doubly positive and the positive edges join every node."""
-    edges = grid.all_edges
-    index = {n.coord: i for i, n in enumerate(grid.nodes)}
-    ends = [(index[e.a], index[e.b]) for e in edges]
-    crossing = [(x, y) for (x, e), (y, f) in itertools.combinations(enumerate(edges), 2) if segments_cross(e, f)]
-    magnitudes = [n.magnitude for n in grid.nodes]
-    found = []
-    for values in itertools.product(range(grid.k + 1), repeat=len(edges)):
-        degree = [0] * len(magnitudes)
-        for (a, b), v in zip(ends, values):
-            degree[a] += v
-            degree[b] += v
-        if degree != magnitudes or any(values[x] and values[y] for x, y in crossing):
-            continue
-        if spans(len(magnitudes), [ab for ab, v in zip(ends, values) if v]):
-            found.append({e: v for e, v in zip(edges, values) if v})
-            if limit is not None and len(found) == limit:
-                return SolutionSet(tuple(found), exhausted=False)
-    return SolutionSet(tuple(found), exhausted=True)
-
-
-def planted(grid: NumberedGrid, rng: Random) -> Optional[NumberedGrid]:
-    """grid's nodes relabeled with their degrees under a random assignment
-    that leaves no crossing pair doubly positive and joins every node, so
-    that it has at least one solution; None when 20 draws do not join."""
-    edges = grid.all_edges
-    index = {n.coord: i for i, n in enumerate(grid.nodes)}
-    ends = [(index[e.a], index[e.b]) for e in edges]
-    for _ in range(20):
-        values = [0] * len(edges)
-        for x in rng.sample(range(len(edges)), len(edges)):
-            if not any(v and segments_cross(edges[x], f) for f, v in zip(edges, values)):
-                values[x] = rng.randint(0, grid.k)
-        if spans(len(grid.nodes), [ab for ab, v in zip(ends, values) if v]):
-            degree = [sum(v for ab, v in zip(ends, values) if i in ab) for i in range(len(grid.nodes))]
-            return NumberedGrid(grid.k, [node(n.coord.x, n.coord.y, d) for n, d in zip(grid.nodes, degree)])
-    return None
+from reference import brute_force_solutions, generated, planted
 
 
 def listed(sols: SolutionSet):
@@ -300,16 +246,10 @@ class TestEnumerateSolutions:
 
     def test_matches_the_walker_reference(self):
         crossed = 0
-        for width, height, density, k, mode, seeds in REFERENCE_CORPUS:
-            for seed in seeds:
-                spec = GenSpec(seed=seed, width=width, height=height, node_density=density, k=k, mode=mode)
-                try:
-                    g = generate(spec)
-                except GenerationFailure:
-                    continue
-                crossed += any(g._crossings)
-                for limit in (None, 1, 2):
-                    assert enumerate_solutions(g, limit) == reference_enumerate(g, limit), (g.nodes, limit)
+        for g in generated(REFERENCE_CORPUS):
+            crossed += any(g._crossings)
+            for limit in (None, 1, 2):
+                assert enumerate_solutions(g, limit) == reference_enumerate(g, limit), (g.nodes, limit)
         assert crossed
 
     def test_matches_the_walker_reference_where_the_engine_stalls(self):

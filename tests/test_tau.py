@@ -14,7 +14,6 @@ from gridlink import (
     Coordinate,
     GenMode,
     GenSpec,
-    GenerationFailure,
     NumberedGrid,
     PuzzleState,
     ResidualExceeded,
@@ -36,18 +35,13 @@ import gridlink.words as words_module
 from gridlink.tau import _Engine, _stalls_at_start
 from gridlink.words import _Context
 
+from reference import generated, toward
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def context(state):
     return _Context(state.grid, state._mult, state._res)
-
-
-def _toward(slot, m):
-    """Word counts with m toward slot and 0 elsewhere."""
-    counts = [0, 0, 0, 0]
-    counts[slot] = m
-    return tuple(counts)
 
 
 def square_grid():
@@ -222,20 +216,6 @@ class TestRunTau:
             sols = enumerate_solutions(g)
             assert len(sols) == 1 and sols.exhausted
             assert sols.solutions[0] == dict(out.final_state.sorted_items())
-
-
-def generated(shapes):
-    """Grids from (width, height, density, k, mode, seeds) rows, skipping
-    specs the generator cannot place."""
-    grids = []
-    for width, height, density, k, mode, seeds in shapes:
-        for seed in seeds:
-            spec = GenSpec(seed=seed, width=width, height=height, node_density=density, k=k, mode=mode)
-            try:
-                grids.append(generate(spec))
-            except GenerationFailure:
-                continue
-    return grids
 
 
 class TestStallProbe:
@@ -465,13 +445,13 @@ def reference_move(state):
 
     def _single_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         slots = [s for s, _, _ in state.grid._links[i]]
-        return _toward(slots[0], state._res[i]) if len(slots) == 1 else None
+        return toward(slots[0], state._res[i]) if len(slots) == 1 else None
 
     # Read after _single_neighbor, which claims the nodes with one neighbor.
     def _one_open_neighbor(state: PuzzleState, i: int, caps: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         res = state._res
         slots = [s for s, q, _ in state.grid._links[i] if res[q]]
-        return _toward(slots[0], res[i]) if len(slots) == 1 else None
+        return toward(slots[0], res[i]) if len(slots) == 1 else None
 
     _LOCAL_RULES = (
         (TauRule.R1_FULL_SATURATION, _saturate),
@@ -553,7 +533,7 @@ def partial_slot(rng, links, target, mult):
     """Word counts of 1 to all the connections the target still adds on one
     random slot of a node that still lacks some."""
     s, e = rng.choice([(s, e) for s, _, e in links if target[e] > mult[e]])
-    return _toward(s, rng.randint(1, target[e] - mult[e]))
+    return toward(s, rng.randint(1, target[e] - mult[e]))
 
 
 def walk_toward_solutions(corpus, step, seed, least_steps, least_checks):
@@ -692,7 +672,7 @@ class TestIncrementalEngine:
         for x in range(5):
             engine._omega_move()  # fills in the missing omega_star words
             i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
-            engine.apply(i, _toward(next(s for s, q, _ in g._links[i] if q == right), 1))
+            engine.apply(i, toward(next(s for s, q, _ in g._links[i] if q == right), 1))
             state = engine.state
             assert not context(state).dead
             engine._omega_move()
@@ -709,7 +689,7 @@ class TestIncrementalEngine:
         engine = _Engine(PuzzleState.empty(g))
         for x, m in ((0, 2), (1, 1)):
             i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
-            engine.apply(i, _toward(next(s for s, q, _ in g._links[i] if q == right), m))
+            engine.apply(i, toward(next(s for s, q, _ in g._links[i] if q == right), m))
         assert engine.fires == _Engine(engine.state).fires
         # next_move takes an R1 step elsewhere, so read the word's source:
         # (0, 0) needs 1 and has room toward (0, 1) alone.
@@ -733,12 +713,12 @@ class TestIncrementalEngine:
 
         def draw(a, b):
             i, j = g._index[a], g._index[b]
-            engine.apply(i, _toward(next(s for s, q, _ in g._links[i] if q == j), 1))
+            engine.apply(i, toward(next(s for s, q, _ in g._links[i] if q == j), 1))
 
         for y in range(2, 10):
             draw(Coordinate(1, y), Coordinate(1, y + 1))
         engine._omega_move()  # fills in the missing omega_star words
-        assert engine.ctx.kept[c] == _toward(3, 1)
+        assert engine.ctx.kept[c] == toward(3, 1)
         draw(Coordinate(1, 10), Coordinate(0, 10))
         engine._omega_move()
         state = engine.state

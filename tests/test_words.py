@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from gridlink import (
     ConfigWord,
     Coordinate,
-    Direction,
     GenMode,
     GenSpec,
-    GenerationFailure,
     NoConfigurationsError,
     NumberedGrid,
     PuzzleState,
@@ -29,6 +27,8 @@ from gridlink import (
     word_meet,
 )
 from gridlink.words import _Context, _spread
+
+from reference import fitting_words, random_grids, toward, whole_state_feasible
 
 PHI_2_2 = {"11", "22", "33", "44", "12", "13", "14", "23", "24", "34"}
 PHI_5_2 = {
@@ -163,56 +163,6 @@ def tutorial_grid():
     ])
 
 
-def fitting_words(state, p, n):
-    """The words of n connections at p that its remaining capacity allows."""
-    caps = state.remaining_capacity(p)
-    return [w for w in enumerate_phi_k(n, state.grid.k) if all(w.counts[d - 1] <= caps[d] for d in Direction)]
-
-
-def components(grid, edges):
-    """Connected components of the node set under the given edges, as
-    coordinate sets, by breadth-first search over the edge keys."""
-    adjacent = {n.coord: set() for n in grid.nodes}
-    for e in edges:
-        adjacent[e.a].add(e.b)
-        adjacent[e.b].add(e.a)
-    seen = set()
-    for start in adjacent:
-        if start not in seen:
-            comp = frontier = {start}
-            while frontier:
-                frontier = {q for c in frontier for q in adjacent[c]} - comp
-                comp = comp | frontier
-            seen |= comp
-            yield comp
-
-
-def whole_state_feasible(state, p, sealers=None):
-    """enumerate_feasible by its definition: apply each word that fits and
-    judge the whole state it leaves. The words that seal the component they
-    form, the one holding p, are appended to sealers if given."""
-    grid = state.grid
-    if state.residual(p) > 4 * grid.k:
-        return []
-    kept = []
-    for w in fitting_words(state, p, state.residual(p)):
-        after = apply_builder(state, p, w)
-        left = {n.coord: after.residual(n) for n in grid.nodes}
-        sealed = [
-            comp for comp in components(grid, after.connections())
-            if len(comp) < len(grid.nodes) and all(left[c] == 0 for c in comp)
-        ]
-        if sealers is not None and any(p.coord in comp for comp in sealed):
-            sealers.append(w)
-        starved = any(
-            left[n.coord] > 0 and all(left[q.coord] == 0 for q in grid.neighbors(n).values())
-            for n in grid.nodes
-        )
-        if not sealed and not starved:
-            kept.append(w)
-    return kept
-
-
 def engine_states():
     """The states run_tau passes through on constructive 6x6-8x8 grids with
     k=2-3, rebuilt by replaying each step's edges from the empty state."""
@@ -225,20 +175,6 @@ def engine_states():
             for e, m in step.edges:
                 state = state.add_connections(e, m)
             yield state
-
-
-def random_grids(rng, count, sizes, densities, ks, modes):
-    """Generated grids of random shape, skipping specs the generator cannot
-    place."""
-    for seed in range(count):
-        spec = GenSpec(
-            seed=seed, width=rng.randint(*sizes), height=rng.randint(*sizes),
-            node_density=rng.uniform(*densities), k=rng.randint(*ks), mode=rng.choice(modes),
-        )
-        try:
-            yield generate(spec)
-        except GenerationFailure:
-            continue
 
 
 def reachable_states(rng, count):
@@ -273,7 +209,7 @@ def random_moves(rng, steps):
             if rng.random() < 0.8:
                 slots = [s for s, c in enumerate(caps) if c]
                 if slots:
-                    return i, _toward(rng.choice(slots), 1)
+                    return i, toward(rng.choice(slots), 1)
             else:
                 words = fitting_words(state, g.nodes[i], rng.randint(1, min(state._res[i], 4 * g.k)))
                 if words:
@@ -302,19 +238,12 @@ def far_first_moves(rng, g, solution):
         lacks = [(s, solution[e] - state._mult[e]) for s, _, e in g._links[i] if solution[e] > state._mult[e]]
         if rng.random() < 0.3:
             s, m = rng.choice(lacks)
-            return i, _toward(s, rng.randint(1, m))
+            return i, toward(s, rng.randint(1, m))
         counts = [0, 0, 0, 0]
         for s, m in lacks:
             counts[s] = m
         return i, tuple(counts)
     return choose
-
-
-def _toward(slot, m):
-    """Word counts with m toward slot and 0 elsewhere."""
-    counts = [0, 0, 0, 0]
-    counts[slot] = m
-    return tuple(counts)
 
 
 def follow_with_context(g, choose, tally):
