@@ -17,14 +17,13 @@ the capacity it computes, next to the over-capacity check that proves a
 node dead. run_tau loops over the step function of an _Engine, which
 steps its own multiplicity and residual vectors in place and carries its
 bookkeeping from step to step: each incomplete node's capacity, the edges
-a positive edge crosses, the ids of the nodes where the over-capacity
-check and each rule fire, and the word test's context, which keeps each
-node's omega_star as far as computed. The next move is the lowest node id
-of the first non-empty table, in rule order, its word read off the node's
-capacity, and R4 reads the context's kept words. R1's table can hold half
-a long chain, so next_move scans it up from a bound under its lowest id,
-which _revise lowers where it adds a node; R2's and R3's, which hold few,
-take min().
+a positive edge crosses, each node's first firing check (over capacity,
+then R1-R3), and the word test's context, which keeps each node's
+omega_star as far as computed. One heap holds (check, node id) pairs,
+pushed where _revise changes a node's check; the least pair that still
+matches names the lowest node id where the first check in rule order
+fires, and next_move reads its word off the node's capacity. R4 reads the
+context's kept words.
 A step re-examines only what it can change: the capacity and rules of the
 nodes it connects, of their neighbors whose capacity toward them it cuts,
 and of the ends of the edges crossing an edge it opens. It reports itself
@@ -35,10 +34,10 @@ alone: it keeps each edge's digest entry and replaces only the drawn
 edges'. One sha256 has taken the grid's prefix and the entries up to the
 highest connected edge id; a step that draws only past that id, as each
 step of a chain does, feeds it just the entries that follow, and any other
-step hashes the joined entries from the prefix again. The TauStep is
-built, like its word, unchecked. The stall search (_stalls_at_start, used
-by oracle.find_stall_witness) reads the same bookkeeping on the empty
-state, so a change to a rule reaches both. It tests first what most often
+step restarts it from the prefix. The TauStep is built, like its word,
+unchecked. The stall search (_stalls_at_start, used by
+oracle.find_stall_witness) reads the same bookkeeping on the empty state,
+so a change to a rule reaches both. It tests first what most often
 decides a candidate: the engine's first pass, stopped at the first node
 where a check fires; then the same R4 pass, _Engine._words, stopped at the
 first word that is not zero; and the screens last, which is safe as the
@@ -55,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import compress
 from typing import Optional
 
@@ -84,6 +84,9 @@ class TauStatus(Enum):
     SOLVED = "solved"
     STALLED = "stalled"
     UNSOLVABLE = "unsolvable"
+
+
+_LOCAL_RULES = (TauRule.R1_FULL_SATURATION, TauRule.R2_SINGLE_NEIGHBOR, TauRule.R3_ONE_INCOMPLETE_NEIGHBOR)
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,11 @@ class _Engine:
     mult and res are the state's vectors, by edge id and node id, which
     apply steps in place. links is the grid's link table, each node id's
     existing links as (slot, neighbor id, edge id); caps each node id's
-    capacity per direction (None once the node is completed); fires, per
-    check (over-capacity, R1, R2, R3), the set of node ids where it fires
-    (next_move builds the chosen node's word from its caps); low, a bound
-    under the lowest id in R1's; blocked, per edge id, whether a positive
+    capacity per direction (None once the node is completed); check each
+    node id's first firing check (0 over capacity, 1-3 for R1-R3, 4 for
+    none or completed); firing a heap of (check, node id) pairs, one pushed
+    each time a node's check changes to one below 4, so a pair whose check
+    no longer matches is stale; blocked, per edge id, whether a positive
     edge crosses it; and ctx the word test's context, built when R4 first
     needs it, which keeps the omega_star words.
     """
@@ -154,8 +158,8 @@ class _Engine:
         self.links = grid._links
         self.mult, self.res = list(state._mult), list(state._res)
         self.caps: list[Optional[tuple[int, ...]]] = [None] * len(self.res)
-        self.fires: list[set[int]] = [set(), set(), set(), set()]
-        self.low = 0
+        self.check = [4] * len(self.res)
+        self.firing: list[tuple[int, int]] = []
         # A blocked edge is empty, as positive edges never cross; and
         # multiplicities only grow here, so an edge once blocked stays so.
         self.blocked = [False] * len(self.mult)
@@ -167,7 +171,7 @@ class _Engine:
         # node where a check fires, and the later nodes are left unset.
         for i in range(len(self.res)):
             self._revise(i)
-            if stop_at_fire and any(self.fires):
+            if stop_at_fire and self.firing:
                 break
 
     @property
@@ -175,18 +179,15 @@ class _Engine:
         return _state(self.grid, self.mult, self.res)
 
     def _revise(self, i: int) -> None:
-        """Re-evaluate node id i's capacity, the over-capacity check and the
-        local rules: R1 when its residual equals its capacity, R2 when it has
-        one neighbor, R3 when it has one incomplete neighbor (R2 claims the
-        nodes with one neighbor first)."""
+        """Re-evaluate node id i's capacity and its first firing check: over
+        capacity when its residual exceeds its capacity, R1 when it equals
+        it, R2 when it has one neighbor, R3 when it has one incomplete
+        neighbor."""
         res = self.res
         r = res[i]
         if not r:
-            self.caps[i] = None
-            for table in self.fires:
-                table.discard(i)
+            self.caps[i], self.check[i] = None, 4
             return
-        over, full, single, one_open = self.fires
         mult, blocked, k, links = self.mult, self.blocked, self.grid.k, self.links[i]
         caps = [0, 0, 0, 0]
         room = n_open = 0
@@ -199,61 +200,42 @@ class _Engine:
                     caps[s] = cap = rq if rq < cap else cap
                     room += cap
         self.caps[i] = tuple(caps)
-        if r > room:
-            over.add(i)
-        else:
-            over.discard(i)
-        if r == room:
-            full.add(i)
-            if i < self.low:
-                self.low = i
-        else:
-            full.discard(i)
-        if len(links) == 1:
-            single.add(i)
-        else:
-            single.discard(i)
-        if n_open == 1:
-            one_open.add(i)
-        else:
-            one_open.discard(i)
+        c = 0 if r > room else 1 if r == room else 2 if len(links) == 1 else 3 if n_open == 1 else 4
+        if c != self.check[i]:
+            self.check[i] = c
+            if c < 4:
+                heappush(self.firing, (c, i))
 
     def next_move(self):
         """The next step as (node id, rule, word counts), or the verdict as
         (status, reason).
 
-        The lowest node id where the over-capacity check fires proves the
-        state unsolvable; else R4 decides, unless a local rule fires: then
-        the lowest node id in the first non-empty table of R1-R3 takes its
-        caps clipped at its residual r. R1's caps sum to r; R2's and R3's one
-        slot with room holds at least r, as no node is over capacity.
+        The heap's stale pairs are popped first; the least pair left names
+        the lowest node id with the least check. Check 0, over capacity,
+        proves the state unsolvable; R1-R3 take the node's caps clipped at
+        its residual r (R1's caps sum to r; R2's and R3's one slot with room
+        holds at least r, as no node is over capacity); with no pair left,
+        R4 decides.
         """
-        over, full, single, one_open = self.fires
-        if over:
-            i = min(over)
-            return TauStatus.UNSOLVABLE, (
-                f"node at {self.grid.nodes[i].coord} needs {self.res[i]} more connections but only "
-                f"{sum(self.caps[i])} remain available around it"
-            )
-        table = full or single or one_open
-        if table:
-            if table is full:
-                i = self.low
-                while i not in full:
-                    i += 1
-                self.low, rule = i, TauRule.R1_FULL_SATURATION
-            elif table is single:
-                i, rule = min(single), TauRule.R2_SINGLE_NEIGHBOR
-            else:
-                i, rule = min(one_open), TauRule.R3_ONE_INCOMPLETE_NEIGHBOR
-            c0, c1, c2, c3 = self.caps[i]
+        firing, check = self.firing, self.check
+        while firing and firing[0][0] != check[firing[0][1]]:
+            heappop(firing)
+        if firing:
+            c, i = firing[0]
             r = self.res[i]
+            if not c:
+                return TauStatus.UNSOLVABLE, (
+                    f"node at {self.grid.nodes[i].coord} needs {r} more connections but only "
+                    f"{sum(self.caps[i])} remain available around it"
+                )
+            c0, c1, c2, c3 = self.caps[i]
+            rule = _LOCAL_RULES[c - 1]
             return i, rule, (c0 if c0 < r else r, c1 if c1 < r else r, c2 if c2 < r else r, c3 if c3 < r else r)
         if not any(self.res):
-            check = is_solved(self.state)
+            solved = is_solved(self.state)
             # All nodes completed by forced moves, yet not a solution: the
             # engine cannot certify unsolvability here, only fail to solve.
-            return (TauStatus.SOLVED if check else TauStatus.STALLED), check.reason
+            return (TauStatus.SOLVED if solved else TauStatus.STALLED), solved.reason
         return self._omega_move()
 
     def _words(self):
@@ -301,8 +283,8 @@ class _Engine:
         of its edges, so they are re-evaluated at touched nodes, the ends of
         the edges the step blocked, and each neighbor of a touched node q
         whose slot toward q the step cut: q completed, or its residual fell
-        below k - mult on their edge; a node completed in an earlier step is
-        in no check table and is skipped. The step is then reported to the
+        below k - mult on their edge; a node completed in an earlier step
+        fires no check and is skipped. The step is then reported to the
         context, if built.
         """
         mult, res, links, k = self.mult, self.res, self.links, self.grid.k
@@ -382,11 +364,9 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
                 lo = e
             if e > hi:
                 hi = e
-        if lo > top:
-            h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
-        else:  # entries past hi are ""
-            h = prefix.copy()
-            h.update("".join(entries).encode("ascii"))
+        if lo <= top:  # restart from the prefix; entries past hi are ""
+            h, top = prefix.copy(), -1
+        h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
         top = hi
         trace.append(_step(nodes[i].coord, rule, _word(counts), tuple(edges), h.hexdigest()[:16]))
 
@@ -403,5 +383,5 @@ def _stalls_at_start(grid: NumberedGrid) -> bool:
     screen violation can only turn the answer to False.
     """
     engine = _Engine(PuzzleState.empty(grid), stop_at_fire=True)
-    stalls = not any(engine.fires) and all(w is not None and not any(w) for _, w in engine._words())
+    stalls = not engine.firing and all(w is not None and not any(w) for _, w in engine._words())
     return stalls and not screen(grid).unsolvable

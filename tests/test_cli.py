@@ -71,6 +71,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "--limit" in err
 
+    def test_render_and_gen_refuse_more_than_a_million_cells(self, capsys, tmp_path):
+        # README's bound: 1001x1000 cells is just over it, for a board and a lattice alike.
+        p = tmp_path / "wide.puzzle"
+        p.write_text("k 1\nnode 0 0 1\nnode 1000 999 1\n")
+        for argv in (["render", p], ["gen", "--seed", 0, "--width", 1001, "--height", 1000,
+                                     "--density", 0.5, "--k", 1]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "1000000 cells" in err
+            assert "Traceback" not in err
+
     def test_enumerate_unsolvable_exits_two(self, capsys, tmp_path):
         p = tmp_path / "dead.puzzle"
         p.write_text("k 1\nnode 0 0 2\nnode 1 0 2\n")

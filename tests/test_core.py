@@ -276,6 +276,8 @@ class TestGridValidation:
             node(0, 0, 0)
         with pytest.raises(ValueError):
             Coordinate(-1, 0)
+        with pytest.raises(ValueError, match="at least one node"):
+            NumberedGrid(1, [])
 
     def test_nodes_kept_in_row_major_order(self):
         g = NumberedGrid(1, [node(1, 1, 1), node(0, 0, 1), node(1, 0, 1)])
@@ -357,6 +359,14 @@ class TestDegreeAndState:
         for m in (0, -1):
             with pytest.raises(ValueError, match="multiplicity must be >= 1"):
                 PuzzleState(g, {edge(0, 0, 1, 0): m})
+        with pytest.raises(ValueError, match="at least one connection"):
+            s.add_connections(edge(0, 0, 1, 0), 0)
+        with pytest.raises(ValueError, match="canonically ordered"):
+            EdgeKey(Coordinate(1, 0), Coordinate(0, 0))
+        with pytest.raises(ValueError, match="axis-aligned"):
+            EdgeKey(Coordinate(0, 0), Coordinate(1, 1))
+        with pytest.raises(ValueError, match="must differ"):
+            EdgeKey.between(Coordinate(2, 3), Coordinate(2, 3))
 
     def test_remaining_capacity(self):
         g = self.grid()

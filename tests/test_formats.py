@@ -320,6 +320,11 @@ class TestRenderBoard:
         s = PuzzleState.empty(g).add_connections(edge(0, 0, 2, 0), 1)
         assert render_board(s) == "1---.---1\n"
 
+    def test_board_over_a_million_cells_is_refused(self):
+        g = NumberedGrid(1, [node(0, 0, 1), node(1000, 999, 1)])  # 1001x1000 cells
+        with pytest.raises(ValueError, match="exceeds the 1000000 cells"):
+            render_board(PuzzleState.empty(g))
+
     def test_stable_output(self):
         g = NumberedGrid(2, [node(0, 0, 2), node(1, 0, 2), node(0, 1, 2), node(1, 1, 2)])
         s = PuzzleState.empty(g)
@@ -368,3 +373,8 @@ class TestCountTable:
     def test_k_max_outside_one_to_32_is_refused(self, k_max):
         with pytest.raises(ValueError, match=r"k_max must be in 1\.\.32"):
             count_table(4, k_max)
+
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_neighbor_count_outside_one_to_four_is_refused(self, r):
+        with pytest.raises(ValueError, match=r"neighbor count must be in 1\.\.4"):
+            count_table(r, 3)

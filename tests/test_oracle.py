@@ -203,6 +203,8 @@ class TestEnumerateSolutions:
             partial = enumerate_solutions(g, limit=1)
             assert len(partial) == 1 and not partial.exhausted
             assert partial.solutions[0] == full.solutions[0]
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            enumerate_solutions(g, limit=0)
 
     def test_crossing_pairs_never_both_positive(self):
         g = NumberedGrid(2, [
@@ -391,6 +393,14 @@ class TestGenerate:
     def test_too_small_lattice_fails(self):
         with pytest.raises(GenerationFailure):
             generate(GenSpec(seed=1, width=1, height=1, node_density=1.0, k=1))
+        with pytest.raises(GenerationFailure, match="exceeds the 1000000 cells"):
+            generate(GenSpec(seed=1, width=1001, height=1000, node_density=0.5, k=1))
+        with pytest.raises(ValueError, match="width and height"):
+            GenSpec(seed=1, width=0, height=3, node_density=0.5, k=1)
+        with pytest.raises(ValueError, match="node_density"):
+            GenSpec(seed=1, width=3, height=3, node_density=0, k=1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            GenSpec(seed=1, width=3, height=3, node_density=0.5, k=0)
 
     # A generated or parsed grid takes the tables its builder compiled from
     # plain ints before any node existed, unchecked: they must equal those a
@@ -462,6 +472,10 @@ class TestFindStallWitness:
     def test_zero_budget_finds_nothing(self):
         spec = GenSpec(seed=0, width=3, height=3, node_density=1.0, k=2)
         assert find_stall_witness(0, spec) is None
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            find_stall_witness(-1, spec)
+        # Every candidate of a 1x1 lattice fails to generate: the sweep skips them all.
+        assert find_stall_witness(3, GenSpec(0, 1, 1, 1.0, 1)) is None
 
     def test_solved_grids_are_rejected(self):
         # The all-2s square is uniquely solvable but the engine solves it,

@@ -291,7 +291,7 @@ class TestStallProbe:
         # must still screen it, as run_tau does first.
         g = NumberedGrid(2, [node(x, y, 2 if x != 1 and y != 1 else 3) for x in range(3) for y in range(3)])
         engine = _Engine(PuzzleState.empty(g))
-        assert not any(engine.fires)
+        assert not engine.firing
         assert all(w == (0, 0, 0, 0) for _, w in engine._words())
         assert [v.condition for v in screen(g).violations] == [2]
         assert run_tau(g).status is TauStatus.UNSOLVABLE
@@ -536,6 +536,11 @@ def partial_slot(rng, links, target, mult):
     return toward(s, rng.randint(1, target[e] - mult[e]))
 
 
+def live_pairs(engine):
+    """The engine's heap pairs whose check still matches the node's."""
+    return {(c, i) for c, i in engine.firing if engine.check[i] == c}
+
+
 def walk_toward_solutions(corpus, step, seed, least_steps, least_checks):
     """Walk each grid of corpus from the empty state to one of its
     solutions, each step the word step gives at a random incomplete node,
@@ -557,11 +562,12 @@ def walk_toward_solutions(corpus, step, seed, least_steps, least_checks):
             assert (engine.mult, engine.res) == (list(state._mult), list(state._res))
             assert engine.state.digest() == state.digest()
             fresh = _Engine(state)
-            assert (engine.caps, engine.fires) == (fresh.caps, fresh.fires)
+            assert (engine.caps, engine.check) == (fresh.caps, fresh.check)
+            assert live_pairs(engine) == {(c, i) for i, c in enumerate(engine.check) if c < 4}
             assert engine.blocked == fresh.blocked
-            if engine.fires[1] and not engine.fires[0]:  # next_move keeps R1's bound
-                assert min(engine.fires[1]) >= engine.low
-                assert engine.next_move()[0] == min(engine.fires[1])
+            least = min(engine.check)
+            if 1 <= least <= 3:  # the least live pair names the local move
+                assert engine.next_move()[0] == engine.check.index(least)
             incomplete = [i for i, caps in enumerate(engine.caps) if caps is not None]
             if not incomplete:
                 break
@@ -598,7 +604,7 @@ class TestIncrementalEngine:
                 fresh = context(state)
                 # The engine's context, built at the first R4 step, leaves
                 # starved nodes to the over-capacity check.
-                assert engine.ctx is None or engine.ctx.dead == fresh.dead or engine.fires[0]
+                assert engine.ctx is None or engine.ctx.dead == fresh.dead or 0 in engine.check
                 if not fresh.dead:
                     for i, w in (engine.ctx.kept if engine.ctx else {}).items():
                         expected = omega_star(state, g.nodes[i])
@@ -618,8 +624,9 @@ class TestIncrementalEngine:
         assert memo_checks >= 1000
 
     def test_next_move_takes_the_lowest_id_of_the_first_local_table(self):
-        # next_move scans R1's table up from a bound it keeps across steps,
-        # and takes min() of R2's and R3's: each must give the lowest id.
+        # next_move pops the heap's stale pairs and reads the least one left:
+        # it must give the lowest id among the nodes with the least check
+        # that a fresh engine finds, for each of R1-R3.
         grids = generated([(5, 5, 0.6, k, GenMode.RANDOM, range(35)) for k in (1, 2, 3)]
                           + [(6, 6, 0.5, k, GenMode.SOLVABLE_BY_CONSTRUCTION, range(35)) for k in (1, 2, 3)])
         assert len(grids) >= 200
@@ -627,15 +634,14 @@ class TestIncrementalEngine:
         for g in grids:
             engine = _Engine(PuzzleState.empty(g))
             while True:
-                tables = engine.fires[1:]
-                first = next((t for t in tables if t), None)
-                assert min(engine.fires[1], default=engine.low) >= engine.low
+                check = _Engine(engine.state).check
+                least = min(check)
                 move = engine.next_move()
                 if isinstance(move[0], TauStatus):
                     break
-                if first is not None:
-                    assert move[0] == min(first), (g.nodes, engine.state.connections())
-                    taken[tables.index(first)] += 1
+                if 1 <= least <= 3:
+                    assert move[0] == check.index(least), (g.nodes, engine.state.connections())
+                    taken[least - 1] += 1
                 engine.apply(move[0], move[2])
         assert min(taken) >= 10, taken
 
@@ -690,11 +696,11 @@ class TestIncrementalEngine:
         for x, m in ((0, 2), (1, 1)):
             i, right = g._index[Coordinate(x, 0)], g._index[Coordinate(x + 1, 0)]
             engine.apply(i, toward(next(s for s, q, _ in g._links[i] if q == right), m))
-        assert engine.fires == _Engine(engine.state).fires
+        assert engine.check == _Engine(engine.state).check
         # next_move takes an R1 step elsewhere, so read the word's source:
         # (0, 0) needs 1 and has room toward (0, 1) alone.
         i = g._index[Coordinate(0, 0)]
-        assert i in engine.fires[3] and (engine.res[i], engine.caps[i]) == (1, (2, 0, 0, 0))
+        assert engine.check[i] == 3 and (engine.res[i], engine.caps[i]) == (1, (2, 0, 0, 0))
 
     def test_a_neighbor_whose_slot_stays_capped_drops_omega_star(self):
         # k=2: (1, 10) hangs from a column of magnitude-3 nodes, so its
@@ -732,30 +738,25 @@ class TestIncrementalEngine:
         # saturated, so the engine solves it with 1199 R1 steps, each
         # drawing the edge past the last. Three costs per step made this
         # quadratic: re-examining every node's capacity and rules, hashing
-        # every entry for the step's digest, and taking min() of R1's table,
-        # which holds half the chain on average. A step re-examines only the
-        # few nodes around it whose view changed, formats and hashes the
-        # digest entry of the one edge it draws, and next_move scans R1's
-        # table up from a bound on its lowest id: its probes are the bound's
-        # total advance plus one per step.
+        # every entry for the step's digest, and searching the nodes where
+        # R1 fires, half the chain on average, for the lowest. A step
+        # re-examines only the few nodes around it whose view changed,
+        # formats and hashes the digest entry of the one edge it draws, and
+        # pushes a node on the firing heap only when its check changes:
+        # at most once per node here, and each push is popped at most once.
         n = 1200
         g = chain_grid(n)
-        calls = {"_revise": 0, "_entry": 0, "probes": 0}
-        revise, entry, init = _Engine._revise, tau_module._entry, _Engine.__init__
+        calls = {"_revise": 0, "_entry": 0, "heappush": 0, "heappop": 0}
+        revise, entry = _Engine._revise, tau_module._entry
 
-        class Probed(set):
-            def __contains__(self, i):
-                calls["probes"] += 1
-                return super().__contains__(i)
+        def counted(name):
+            original = getattr(tau_module, name)
 
-            def __iter__(self):
-                for i in super().__iter__():
-                    calls["probes"] += 1
-                    yield i
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
 
-        def probed_init(engine, *args, **kwargs):
-            init(engine, *args, **kwargs)
-            engine.fires[1] = Probed(engine.fires[1])
+            monkeypatch.setattr(tau_module, name, wrapper)
 
         def counted_revise(engine, i):
             calls["_revise"] += 1
@@ -766,15 +767,16 @@ class TestIncrementalEngine:
             return entry(e, m)
 
         monkeypatch.setattr(_Engine, "_revise", counted_revise)
-        monkeypatch.setattr(_Engine, "__init__", probed_init)
         monkeypatch.setattr(tau_module, "_entry", counted_entry)
+        counted("heappush")
+        counted("heappop")
         out, hashed = counted_run_tau(g)
         assert out.status is TauStatus.SOLVED and len(out.trace) == n - 1
         assert calls["_revise"] <= 3 * n
         assert calls["_entry"] == n - 1
         entries = sum(len(entry(e, m)) for e, m in out.final_state.connections().items())
         assert hashed["bytes"] <= 2 * entries
-        assert calls["probes"] <= 2 * n
+        assert calls["heappop"] <= calls["heappush"] <= n
 
     def test_r4_runs_retest_only_the_words_a_step_can_change(self, monkeypatch):
         # Five constructive k=2-3 grids that take 1-11 R4 steps each. A step

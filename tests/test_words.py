@@ -52,6 +52,12 @@ class TestConfigWord:
         a, b = ConfigWord(2, 1, 0, 3), ConfigWord(1, 2, 2, 0)
         assert word_meet(a, b) == ConfigWord(1, 1, 0, 0)
 
+    def test_negative_counts_and_unknown_symbols_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConfigWord(-1, 0, 0, 0)
+        with pytest.raises(ValueError, match="direction symbols are 1-4, got '5'"):
+            ConfigWord.from_digits("15")
+
 
 class TestEnumeratePhi:
     def test_magnitude_two_bound_two(self):
@@ -66,6 +72,10 @@ class TestEnumeratePhi:
     def test_impossible_magnitude_raises(self):
         with pytest.raises(NoConfigurationsError):
             enumerate_phi_k(9, 2)
+        with pytest.raises(ValueError, match="magnitude must be >= 1"):
+            enumerate_phi_k(0, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            enumerate_phi_k(3, 0)
 
     def test_order_is_deterministic_lexicographic(self):
         ws = list(enumerate_phi_k(3, 2))
@@ -105,6 +115,14 @@ class TestCountConfigs:
 
     def test_overfull_is_zero(self):
         assert count_configs(9, 4, 2) == 0
+
+    def test_out_of_range_arguments_are_refused(self):
+        with pytest.raises(ValueError, match="magnitude must be >= 0"):
+            count_configs(-1, 4, 2)
+        with pytest.raises(ValueError, match=r"neighbor count must be in 1\.\.4"):
+            count_configs(3, 5, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            count_configs(3, 4, 0)
 
     # A magnitude-3 node with four neighbors under bound 2 admits 16 counted
     # multisets; the generating-function semantics pin this value.
