@@ -18,7 +18,7 @@ words, tau and the oracle read these tables. Coordinate, EdgeKey and Node
 appear only at the API edge. Connected components are kept by one routine,
 _Components, which the verifier, the word test and the generator share.
 A digest hashes a per-grid prefix and one _entry per connected edge; run_tau
-extends one hasher while its steps draw past the highest connected edge id.
+hashes its steps' digests on the first read, in one replay of one hasher.
 
 All types here are immutable values: operations that change a state return a
 new one. The propagation engine and the enumerator step vectors of their own
@@ -295,8 +295,8 @@ class NumberedGrid:
 
     @cached_property
     def _digest_prefix(self):
-        """sha256 object fed the grid's part of every digest, which copies it."""
-        import hashlib  # loads OpenSSL, a few MB resident: only when a digest is asked for
+        """sha256 object fed the grid's part of every digest, which copies it; run_tau's only when read."""
+        import hashlib  # loads OpenSSL, a few MB resident: only once a digest is read
         parts = [f"k={self.k}"] + [f"n:{n.coord.x},{n.coord.y},{n.magnitude}" for n in self.nodes]
         return hashlib.sha256(";".join(parts).encode("ascii"))
 

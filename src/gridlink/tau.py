@@ -30,12 +30,10 @@ and of the ends of the edges crossing an edge it opens. It reports itself
 to the context, which drops the kept words it may change
 (words._Context.step says which), and returns what it drew: each edge id
 with the connections added. run_tau builds the step's record from that
-alone: it keeps each edge's digest entry and replaces only the drawn
-edges'. One sha256 has taken the grid's prefix and the entries up to the
-highest connected edge id; a step that draws only past that id, as each
-step of a chain does, feeds it just the entries that follow, and any other
-step restarts it from the prefix. The TauStep is built, like its word,
-unchecked. The stall search (_stalls_at_start, used by
+alone, like its word, unchecked, and keeps what each step drew in the
+run's _Digests, which computes every step's state digest in one replay on
+the first read of any. A run whose digests are never read hashes nothing
+and never loads OpenSSL. The stall search (_stalls_at_start, used by
 oracle.find_stall_witness) reads the same bookkeeping on the empty state,
 so a change to a rule reaches both. It tests first what most often
 decides a candidate: the engine's first pass, stopped at the first node
@@ -91,7 +89,8 @@ _LOCAL_RULES = (TauRule.R1_FULL_SATURATION, TauRule.R2_SINGLE_NEIGHBOR, TauRule.
 
 @dataclass(frozen=True)
 class TauStep:
-    """One applied propagation step."""
+    """One applied propagation step. A step that run_tau built reads its
+    state_digest from the run's _Digests on the first read, and keeps it."""
 
     node: Coordinate
     rule: TauRule
@@ -99,14 +98,61 @@ class TauStep:
     edges: tuple[tuple[EdgeKey, int], ...]  # connections created by this step
     state_digest: str
 
+    def __getattr__(self, name: str) -> str:
+        fields = self.__dict__
+        if name != "state_digest" or "_run" not in fields:
+            raise AttributeError(f"'TauStep' object has no attribute {name!r}")
+        digests, at = fields["_run"]
+        fields["state_digest"] = digest = digests[at]
+        del fields["_run"]
+        return digest
 
-def _step(node: Coordinate, rule: TauRule, word: ConfigWord, edges: tuple, state_digest: str) -> TauStep:
-    """TauStep(node, rule, word, edges, state_digest) without its __init__; it has no check to skip."""
+    def __getstate__(self) -> dict:
+        self.state_digest  # pickles and copies hold the digest, not the run
+        return self.__dict__
+
+
+def _step(node: Coordinate, rule: TauRule, word: ConfigWord, edges: tuple, run: tuple) -> TauStep:
+    """TauStep(...) without its __init__, which checks nothing; run is (the run's _Digests, step index)."""
     t = object.__new__(TauStep)
     fields = t.__dict__  # as in words._word
     fields["node"], fields["rule"], fields["word"] = node, rule, word
-    fields["edges"], fields["state_digest"] = edges, state_digest
+    fields["edges"], fields["_run"] = edges, run
     return t
+
+
+class _Digests:
+    """One run_tau run's state digests, all computed on the first read from
+    the grid and each step's (edge id, connections added) pairs, which it
+    then drops. One sha256 takes the grid's prefix and each entry up to top,
+    the highest connected edge id: a step that draws only past top, as each
+    step of a chain does, feeds it just the entries that follow, and any
+    other step restarts it from the prefix."""
+
+    def __init__(self, grid: NumberedGrid) -> None:
+        self.grid, self.drawn, self.hexes = grid, [], []
+
+    def __getitem__(self, at: int) -> str:
+        if self.drawn:
+            all_edges, prefix, hexes = self.grid.all_edges, self.grid._digest_prefix, []
+            mult, entries = [0] * len(all_edges), [""] * len(all_edges)  # "" while empty
+            h, top = prefix.copy(), -1
+            for drawn in self.drawn:
+                lo, hi = len(entries), top
+                for e, m in drawn:
+                    mult[e] += m
+                    entries[e] = _entry(all_edges[e], mult[e])
+                    if e < lo:
+                        lo = e
+                    if e > hi:
+                        hi = e
+                if lo <= top:  # entries past hi are ""
+                    h, top = prefix.copy(), -1
+                h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
+                top = hi
+                hexes.append(h.hexdigest()[:16])
+            self.grid, self.drawn, self.hexes = None, None, hexes
+        return self.hexes[at]
 
 
 @dataclass(frozen=True)
@@ -343,32 +389,17 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 
     engine = _Engine(state)
     trace: list[TauStep] = []
-    nodes, mult = grid.nodes, engine.mult
-    all_edges, entries = grid.all_edges, [""] * len(grid._ends)  # each edge's digest entry, "" while empty
-    # h has taken the prefix and each entry up to top, the highest connected edge id.
-    prefix = grid._digest_prefix
-    h, top = prefix.copy(), -1
+    nodes, all_edges, digests = grid.nodes, grid.all_edges, _Digests(grid)
     while True:
         move = engine.next_move()
         if isinstance(move[0], TauStatus):
             status, reason = move
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
-        edges = []
-        lo, hi = len(entries), top
-        for e, m in engine.apply(i, counts):
-            key = all_edges[e]
-            entries[e] = _entry(key, mult[e])
-            edges.append((key, m))
-            if e < lo:
-                lo = e
-            if e > hi:
-                hi = e
-        if lo <= top:  # restart from the prefix; entries past hi are ""
-            h, top = prefix.copy(), -1
-        h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
-        top = hi
-        trace.append(_step(nodes[i].coord, rule, _word(counts), tuple(edges), h.hexdigest()[:16]))
+        drawn = engine.apply(i, counts)
+        digests.drawn.append(drawn)
+        edges = tuple([(all_edges[e], m) for e, m in drawn])
+        trace.append(_step(nodes[i].coord, rule, _word(counts), edges, (digests, len(trace))))
 
 
 def _stalls_at_start(grid: NumberedGrid) -> bool:

@@ -1,9 +1,12 @@
 """Propagation engine: builder arithmetic, rule selection, outcomes."""
 
+import copy
 import dataclasses
 import hashlib
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -73,10 +76,14 @@ class CountedHasher:
 
 
 def counted_run_tau(g):
-    """run_tau(g), and the CountedHasher counts of its digests."""
+    """run_tau(g) with every step's digest read, and the CountedHasher counts
+    of those reads: run_tau hashes nothing until a digest is read."""
     prefix = g.__dict__["_digest_prefix"] = CountedHasher(g._digest_prefix)
     try:
-        return run_tau(g), prefix.counts
+        out = run_tau(g)
+        for step in out.trace:
+            step.state_digest
+        return out, prefix.counts
     finally:
         g.__dict__["_digest_prefix"] = prefix.h
 
@@ -160,12 +167,13 @@ class TestRunTau:
         assert len(out.trace) <= sum(n.magnitude for n in g.nodes)
 
     def test_replayed_trace_reaches_final_state(self):
-        # run_tau feeds its one hasher only the entries past the highest
-        # connected edge id while a step draws past it alone, as every step
-        # of a chain does, and else starts again from the grid's prefix: on
-        # the 6x6 grids, a step often draws below it, and the k=2 ones raise
-        # an edge that already has a connection five times, replacing its
-        # entry. Each step's digest must be the replayed state's.
+        # The first read of a run's digests feeds one hasher only the entries
+        # past the highest connected edge id while a step draws past it
+        # alone, as every step of a chain does, and else starts again from
+        # the grid's prefix: on the 6x6 grids, a step often draws below it,
+        # and the k=2 ones raise an edge that already has a connection five
+        # times, replacing its entry. Each step's digest must be the
+        # replayed state's.
         chain, raised, steps, restarts = chain_grid(30), 0, 0, 0
         for g in [chain, square_grid()] + generated([(6, 6, 0.6, 2, GenMode.SOLVABLE_BY_CONSTRUCTION, range(10))]):
             out, counts = counted_run_tau(g)
@@ -181,6 +189,42 @@ class TestRunTau:
             assert s == out.final_state
         assert raised == 5
         assert 0 < restarts < steps - 29
+
+    def test_digests_are_hashed_only_when_read(self, monkeypatch):
+        # Most callers read only the verdict, so run_tau keeps what each step
+        # drew and hashes nothing, nor builds the grid's prefix, until a
+        # digest is read.
+        calls = [0]
+        entry = tau_module._entry
+
+        def counted_entry(e, m):
+            calls[0] += 1
+            return entry(e, m)
+
+        monkeypatch.setattr(tau_module, "_entry", counted_entry)
+        for g in [parse_puzzle((FIXTURES / "stall_8x8.puzzle").read_text()), chain_grid(1200)]:
+            assert run_tau(g).trace and calls[0] == 0
+            assert "_digest_prefix" not in g.__dict__
+        # In a fresh interpreter, as pytest itself may have imported hashlib:
+        # OpenSSL (_hashlib) loads at the first digest read, not before.
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from gridlink import enumerate_solutions, parse_puzzle, run_tau\n"
+            "g = parse_puzzle(Path(sys.argv[1]).read_text())\n"
+            "out = run_tau(g)\n"
+            "enumerate_solutions(g)\n"
+            "assert out.trace and '_hashlib' not in sys.modules\n"
+            "out.trace[0].state_digest\n"
+            "assert '_hashlib' in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(FIXTURES / "stall_8x8.puzzle")],
+            check=True,
+            timeout=60,
+            cwd=FIXTURES.parent,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
 
     def test_deterministic_traces(self):
         g1, g2 = square_grid(), square_grid()
@@ -410,13 +454,19 @@ class TestEngineCorpus:
         assert digest.hexdigest() == LARGE_CORPUS_DIGEST
 
     def test_unchecked_step_records_behave_as_constructed(self):
-        """run_tau builds each TauStep without the dataclass constructor; every
-        step must compare, hash, print, replace, pickle and refuse assignment
-        like TauStep(...) built from its own fields."""
+        """run_tau builds each TauStep without the dataclass constructor, and
+        leaves its digest until the first read; every step, read or not, must
+        compare, hash, print, replace, pickle, copy and refuse assignment like
+        TauStep(...) built from its own fields."""
         grids = [parse_puzzle(p.read_text()) for p in sorted(FIXTURES.glob("*.puzzle"))]
         grids.append(next(g for g in generated(ENGINE_CORPUS) if g.k == 3 and run_tau(g).trace))
-        steps = [st for g in grids for st in run_tau(g).trace]
+
+        def unread_steps():
+            return [st for g in grids for st in run_tau(g).trace]
+
+        steps = unread_steps()
         assert len(steps) >= 50 and {len(st.edges) for st in steps} >= {1, 2}
+        constructed = []
         for st in steps:
             built = TauStep(*(getattr(st, f.name) for f in dataclasses.fields(TauStep)))
             assert type(st) is TauStep and vars(st) == vars(built)
@@ -426,6 +476,32 @@ class TestEngineCorpus:
             assert pickle.loads(pickle.dumps(st)) == built
             with pytest.raises(dataclasses.FrozenInstanceError):
                 st.rule = built.rule
+            constructed.append(built)
+        # Each check on steps of a fresh run, none of whose digests was read:
+        # an unread step pickles and copies its digest, not the grid.
+        checks = [
+            lambda st, built: pickle.dumps(st) == pickle.dumps(built),
+            lambda st, built: vars(copy.deepcopy(st)) == vars(built),
+            lambda st, built: st == built,
+            lambda st, built: hash(st) == hash(built),
+            lambda st, built: repr(st) == repr(built),
+            lambda st, built: vars(dataclasses.replace(st)) == vars(built),
+        ]
+        for check in checks:
+            fresh = unread_steps()
+            assert not any("state_digest" in vars(st) for st in fresh)
+            assert all(check(st, built) for st, built in zip(fresh, constructed))
+        # The first read replays the whole run, whichever step it reads; and
+        # two runs on one grid share its prefix, which neither replay changes.
+        last_first, in_order = [], []
+        for g in grids:
+            a, b = run_tau(g).trace, run_tau(g).trace
+            if a:
+                a[-1].state_digest
+            last_first += [st.state_digest for st in a]
+            in_order += [st.state_digest for st in b]
+            assert a == b
+        assert last_first == in_order == [built.state_digest for built in constructed]
 
 
 def reference_move(state):
