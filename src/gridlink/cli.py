@@ -12,7 +12,8 @@ between 2 and 3 matters: the propagation engine failing to finish leaves
 solvability open, while a screen violation or an exhausted search settles it.
 
 `--json` reports carry the stable fields status, connections, trace, and
-violations, and are byte-deterministic for a fixed input.
+violations, and are byte-deterministic for a fixed input. tau and solve
+build the trace, which reads every step's state digest, only under --json.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _cmd_tau(args) -> tuple[dict, str]:
     report = _report(
         outcome.status.value,
         connections=_connections_json(outcome.final_state.sorted_items()),
-        trace=_trace_json(outcome),
+        trace=_trace_json(outcome) if args.json else [],
         violations=_violations_json(outcome.screen_report),
         reason=outcome.reason,
     )
@@ -156,7 +157,7 @@ def _cmd_solve(args) -> tuple[dict, str]:
     outcome = None if args.method == "brute" else run_tau(grid)
     # The engine's verdict stands unless it stalled and brute force may follow.
     if outcome and (args.method == "tau" or outcome.status is not TauStatus.STALLED):
-        engine, status, trace = "tau", outcome.status.value, _trace_json(outcome)
+        engine, status, trace = "tau", outcome.status.value, _trace_json(outcome) if args.json else []
         connections = outcome.final_state.sorted_items() if status == "solved" else ()
     else:
         solutions = enumerate_solutions(grid, limit=args.limit).solutions

@@ -89,8 +89,9 @@ _LOCAL_RULES = (TauRule.R1_FULL_SATURATION, TauRule.R2_SINGLE_NEIGHBOR, TauRule.
 
 @dataclass(frozen=True)
 class TauStep:
-    """One applied propagation step. A step that run_tau built reads its
-    state_digest from the run's _Digests on the first read, and keeps it."""
+    """One applied propagation step. A step that run_tau built takes its
+    state_digest from the run's _Digests at the first read; until then vars()
+    shows the private _run in its place, while asdict, pickle and copy read it."""
 
     node: Coordinate
     rule: TauRule
@@ -100,12 +101,13 @@ class TauStep:
 
     def __getattr__(self, name: str) -> str:
         fields = self.__dict__
-        if name != "state_digest" or "_run" not in fields:
-            raise AttributeError(f"'TauStep' object has no attribute {name!r}")
-        digests, at = fields["_run"]
-        fields["state_digest"] = digest = digests[at]
-        del fields["_run"]
-        return digest
+        run = fields.get("_run") if name == "state_digest" else None
+        if run is not None:  # the digest goes in before _run goes, so a racing read finds one
+            fields[name] = run[0][run[1]]
+            fields.pop("_run", None)
+        if name in fields:
+            return fields[name]
+        raise AttributeError(f"'TauStep' object has no attribute {name!r}")
 
     def __getstate__(self) -> dict:
         self.state_digest  # pickles and copies hold the digest, not the run
@@ -129,17 +131,19 @@ class _Digests:
     step of a chain does, feeds it just the entries that follow, and any
     other step restarts it from the prefix."""
 
-    def __init__(self, grid: NumberedGrid) -> None:
-        self.grid, self.drawn, self.hexes = grid, [], []
+    def __init__(self, grid: NumberedGrid, drawn: list) -> None:
+        self.run = grid, drawn  # the hex digests once read: one attribute, so racing reads stay safe
 
     def __getitem__(self, at: int) -> str:
-        if self.drawn:
-            all_edges, prefix, hexes = self.grid.all_edges, self.grid._digest_prefix, []
+        run = self.run
+        if isinstance(run, tuple):
+            (grid, drawn), hexes = run, []
+            all_edges, prefix = grid.all_edges, grid._digest_prefix
             mult, entries = [0] * len(all_edges), [""] * len(all_edges)  # "" while empty
             h, top = prefix.copy(), -1
-            for drawn in self.drawn:
+            for step in drawn:
                 lo, hi = len(entries), top
-                for e, m in drawn:
+                for e, m in step:
                     mult[e] += m
                     entries[e] = _entry(all_edges[e], mult[e])
                     if e < lo:
@@ -151,8 +155,8 @@ class _Digests:
                 h.update("".join(entries[top + 1 : hi + 1]).encode("ascii"))
                 top = hi
                 hexes.append(h.hexdigest()[:16])
-            self.grid, self.drawn, self.hexes = None, None, hexes
-        return self.hexes[at]
+            self.run = run = hexes
+        return run[at]
 
 
 @dataclass(frozen=True)
@@ -389,7 +393,8 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
 
     engine = _Engine(state)
     trace: list[TauStep] = []
-    nodes, all_edges, digests = grid.nodes, grid.all_edges, _Digests(grid)
+    nodes, all_edges, drawn_by_step = grid.nodes, grid.all_edges, []
+    digests = _Digests(grid, drawn_by_step)
     while True:
         move = engine.next_move()
         if isinstance(move[0], TauStatus):
@@ -397,7 +402,7 @@ def run_tau(grid: NumberedGrid) -> TauOutcome:
             return TauOutcome(status, engine.state, tuple(trace), reason=reason, screen_report=report)
         i, rule, counts = move
         drawn = engine.apply(i, counts)
-        digests.drawn.append(drawn)
+        drawn_by_step.append(drawn)
         edges = tuple([(all_edges[e], m) for e, m in drawn])
         trace.append(_step(nodes[i].coord, rule, _word(counts), edges, (digests, len(trace))))
 

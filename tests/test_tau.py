@@ -206,25 +206,43 @@ class TestRunTau:
             assert run_tau(g).trace and calls[0] == 0
             assert "_digest_prefix" not in g.__dict__
         # In a fresh interpreter, as pytest itself may have imported hashlib:
-        # OpenSSL (_hashlib) loads at the first digest read, not before.
+        # OpenSSL (_hashlib) loads at the first digest read, not before. The
+        # CLI reads digests only for a --json trace: plain tau and solve,
+        # whether the engine decides (line3) or stalls (stall_8x8), hash
+        # nothing.
         code = (
             "import sys\n"
             "from pathlib import Path\n"
             "from gridlink import enumerate_solutions, parse_puzzle, run_tau\n"
-            "g = parse_puzzle(Path(sys.argv[1]).read_text())\n"
+            "from gridlink.cli import main\n"
+            "stall, solved = sys.argv[1:]\n"
+            "g = parse_puzzle(Path(stall).read_text())\n"
             "out = run_tau(g)\n"
             "enumerate_solutions(g)\n"
+            "for p in stall, solved:\n"
+            "    main(['tau', p, '--trace']), main(['solve', p]), main(['solve', p, '--method', 'tau'])\n"
             "assert out.trace and '_hashlib' not in sys.modules\n"
             "out.trace[0].state_digest\n"
             "assert '_hashlib' in sys.modules\n"
         )
         subprocess.run(
-            [sys.executable, "-c", code, str(FIXTURES / "stall_8x8.puzzle")],
+            [sys.executable, "-c", code, str(FIXTURES / "stall_8x8.puzzle"), str(FIXTURES / "line3.puzzle")],
             check=True,
+            capture_output=True,
             timeout=60,
             cwd=FIXTURES.parent,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
+
+    def test_a_read_racing_the_first_read_finds_the_digest(self):
+        # Thread B's plain lookup of state_digest misses; thread A's first read
+        # then stores the digest and drops _run; B's __getattr__ must still
+        # return the digest, as the step stores it before it drops _run.
+        for st in run_tau(chain_grid(30)).trace:
+            digests, at = vars(st)["_run"]
+            assert st.state_digest == digests[at]  # A's read
+            assert "_run" not in vars(st)
+            assert TauStep.__getattr__(st, "state_digest") == digests[at]  # B's
 
     def test_deterministic_traces(self):
         g1, g2 = square_grid(), square_grid()
